@@ -69,8 +69,8 @@ struct TaskSpec {
 [[nodiscard]] CheckResult check_task_spec(const TaskSpec& spec);
 
 /// Semantic rules on a built task: drt.wcet-exceeds-deadline,
-/// drt.overutilized, drt.dead-end, drt.transient, drt.acyclic,
-/// drt.not-frame-separated.
+/// drt.overutilized, drt.utilization-overflow, drt.dead-end,
+/// drt.transient, drt.acyclic, drt.not-frame-separated.
 [[nodiscard]] CheckResult check_task(const DrtTask& task);
 
 /// Validates `spec` (spec pass, then -- if the spec is error-free -- the

@@ -1,4 +1,5 @@
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -22,6 +23,17 @@ std::string vertex_loc(const std::string& name, std::size_t index) {
 
 std::string task_loc(const std::string& name) {
   return name.empty() ? std::string("task") : "task " + name;
+}
+
+/// Sum of the tasks' utilizations; nullopt if any task's overflowed
+/// (check_task reports that as drt.utilization-overflow).
+std::optional<Rational> utilization_sum(std::span<const DrtTask> tasks) {
+  Rational total(0);
+  for (const DrtTask& t : tasks) {
+    if (t.utilization_overflowed()) return std::nullopt;
+    if (const auto u = utilization(t)) total += *u;
+  }
+  return total;
 }
 
 }  // namespace
@@ -133,7 +145,11 @@ CheckResult check_task(const DrtTask& task) {
           "staircase is unavailable (rbf-based analyses still apply)");
   }
 
-  if (const auto u = utilization(task); u && *u >= Rational(1)) {
+  if (task.utilization_overflowed()) {
+    r.add(kError, "drt.utilization-overflow", task_loc(task.name()),
+          "wcet and separation magnitudes overflow 64-bit arithmetic in "
+          "the exact utilization search");
+  } else if (const auto u = utilization(task); u && *u >= Rational(1)) {
     std::ostringstream msg;
     msg << "long-run utilization " << u->to_string()
         << " >= 1 -- no unit-rate supply can serve this task";
@@ -164,13 +180,10 @@ CheckResult check_task_set(std::span<const DrtTask> tasks) {
   CheckResult r;
   const detail::Pass pass(r);
 
-  Rational total(0);
-  for (const DrtTask& t : tasks) {
-    if (const auto u = utilization(t)) total += *u;
-  }
-  if (total >= Rational(1)) {
+  if (const auto total = utilization_sum(tasks);
+      total && *total >= Rational(1)) {
     std::ostringstream msg;
-    msg << "utilization sum " << total.to_string()
+    msg << "utilization sum " << total->to_string()
         << " >= 1 -- infeasible on any unit-rate resource";
     r.add(kError, "set.overutilized", "task set", msg.str());
   }
@@ -192,14 +205,10 @@ CheckResult check_system(std::span<const DrtTask> tasks,
   CheckResult r;
   const detail::Pass pass(r);
 
-  Rational total(0);
-  for (const DrtTask& t : tasks) {
-    if (const auto u = utilization(t)) total += *u;
-  }
   const Rational rate = supply.long_run_rate();
-  if (total >= rate) {
+  if (const auto total = utilization_sum(tasks); total && *total >= rate) {
     std::ostringstream msg;
-    msg << "utilization sum " << total.to_string()
+    msg << "utilization sum " << total->to_string()
         << " reaches the supply's long-run rate " << rate.to_string()
         << " -- the busy-window iteration diverges";
     r.add(kError, "supply.overload", supply.describe(), msg.str());

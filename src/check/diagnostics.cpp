@@ -108,6 +108,8 @@ std::span<const CodeInfo> all_codes() {
        "long-run utilization is at least 1"},
       {"drt.transient", Severity::kWarning,
        "vertex lies on no cycle (contributes only finitely)"},
+      {"drt.utilization-overflow", Severity::kError,
+       "utilization search overflows 64-bit arithmetic"},
       {"drt.wcet-exceeds-deadline", Severity::kError,
        "vertex can never meet its deadline (wcet > deadline)"},
       {"gmf.deadline-exceeds-separation", Severity::kWarning,

@@ -1,5 +1,7 @@
 #include "graph/cycle_ratio.hpp"
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "base/assert.hpp"
@@ -8,23 +10,43 @@
 namespace strt {
 namespace detail {
 
+namespace {
+
+enum class CycleSign { kNegative, kZero, kPositive };
+enum class Color : std::uint8_t { kWhite, kGray, kBlack };
+
+/// Work buffers of one search, sized once and reused by every probe.
+struct ProbeBuffers {
+  explicit ProbeBuffers(const DrtTask& task)
+      : w(task.edge_count()), d(task.vertex_count()),
+        color(task.vertex_count()) {}
+
+  std::vector<std::int64_t> w;
+  std::vector<std::int64_t> d;
+  std::vector<Color> color;
+  std::vector<std::pair<VertexId, std::size_t>> stack;
+};
+
+/// Sign of the best cycle of the parametric test graph at ratio a/b.
 CycleSign best_cycle_sign(const DrtTask& task, std::int64_t a,
-                          std::int64_t b) {
+                          std::int64_t b, ProbeBuffers& buf) {
   STRT_REQUIRE(b > 0, "ratio denominator must be positive");
   const std::size_t nv = task.vertex_count();
+  const auto vertices = task.vertices();
   const auto edges = task.edges();
 
-  std::vector<std::int64_t> w(edges.size());
+  std::vector<std::int64_t>& w = buf.w;
   for (std::size_t i = 0; i < edges.size(); ++i) {
-    w[i] = checked::sub(
-        checked::mul(b, task.vertex(edges[i].from).wcet.count()),
-        checked::mul(a, edges[i].separation.count()));
+    const auto u = static_cast<std::size_t>(edges[i].from);
+    w[i] = checked::sub(checked::mul(b, vertices[u].wcet.count()),
+                        checked::mul(a, edges[i].separation.count()));
   }
 
   // Longest-path Bellman-Ford from a virtual source connected to every
   // vertex with weight 0 (equivalently: all distances start at 0, which
   // also makes every cycle reachable).
-  std::vector<std::int64_t> d(nv, 0);
+  std::vector<std::int64_t>& d = buf.d;
+  std::fill(d.begin(), d.end(), 0);
   bool changed = false;
   for (std::size_t pass = 0; pass <= nv; ++pass) {
     changed = false;
@@ -44,9 +66,10 @@ CycleSign best_cycle_sign(const DrtTask& task, std::int64_t a,
   // Zero cycle iff the tight subgraph (edges with d[u] + w == d[v]) has a
   // cycle; any cycle's weight is -sum(slack), so zero exactly when all its
   // edges are tight.
-  enum class Color : std::uint8_t { kWhite, kGray, kBlack };
-  std::vector<Color> color(nv, Color::kWhite);
-  std::vector<std::pair<VertexId, std::size_t>> stack;
+  std::vector<Color>& color = buf.color;
+  std::fill(color.begin(), color.end(), Color::kWhite);
+  auto& stack = buf.stack;
+  stack.clear();
   for (VertexId s = 0; static_cast<std::size_t>(s) < nv; ++s) {
     if (color[static_cast<std::size_t>(s)] != Color::kWhite) continue;
     stack.emplace_back(s, 0);
@@ -58,7 +81,7 @@ CycleSign best_cycle_sign(const DrtTask& task, std::int64_t a,
       while (next < out.size()) {
         const auto ei = static_cast<std::size_t>(out[next]);
         ++next;
-        const DrtEdge& e = task.edges()[ei];
+        const DrtEdge& e = edges[ei];
         if (d[static_cast<std::size_t>(e.from)] + w[ei] !=
             d[static_cast<std::size_t>(e.to)]) {
           continue;  // slack edge, not in the tight subgraph
@@ -79,6 +102,8 @@ CycleSign best_cycle_sign(const DrtTask& task, std::int64_t a,
   }
   return CycleSign::kNegative;
 }
+
+}  // namespace
 
 Rational simplest_between(const Rational& lo, const Rational& hi) {
   STRT_REQUIRE(lo < hi, "simplest_between requires lo < hi");
@@ -103,36 +128,55 @@ Rational simplest_between(const Rational& lo, const Rational& hi) {
   return Rational(fl) + Rational(1) / inner;
 }
 
+std::optional<Rational> max_cycle_ratio(const DrtTask& task) {
+  if (!task.is_cyclic()) return std::nullopt;
+  ProbeBuffers buf(task);
+  const auto probe = [&](std::int64_t a, std::int64_t b) {
+    return best_cycle_sign(task, a, b, buf);
+  };
+
+  // Invariant: probe(lo) == positive (U > lo) and U < hi, with
+  // lo = ln/ld and hi = hn/hd adjacent Farey neighbours (hn*ld - ln*hd == 1).
+  std::int64_t ln = 0;  // wcets are >= 1 and a cycle exists, so U > 0
+  std::int64_t ld = 1;
+  STRT_ASSERT(probe(ln, ld) == CycleSign::kPositive,
+              "a cyclic task must have positive utilization");
+  // U <= max wcet / min sep <= max wcet.
+  STRT_ASSERT(probe(checked::add(task.max_wcet().count(), 1), 1) ==
+                  CycleSign::kNegative,
+              "utilization upper bound violated");
+  // hi starts at 1/0: the mediants k/1 + 1/0 = (k+1)/1 are the integer
+  // probes, and lo never reaches max wcet + 1.  The simplest rational
+  // strictly between adjacent neighbours is their mediant, already in
+  // lowest terms, and it neighbours both, so lo and hi stay adjacent.
+  std::int64_t hn = 1;
+  std::int64_t hd = 0;
+
+  for (;;) {
+    const std::int64_t mn = checked::add(ln, hn);
+    const std::int64_t md = checked::add(ld, hd);
+    switch (probe(mn, md)) {
+      case CycleSign::kPositive:
+        ln = mn;
+        ld = md;
+        break;
+      case CycleSign::kNegative:
+        hn = mn;
+        hd = md;
+        break;
+      case CycleSign::kZero:
+        return Rational(mn, md);
+    }
+  }
+}
+
 }  // namespace detail
 
 std::optional<Rational> utilization(const DrtTask& task) {
-  if (!task.is_cyclic()) return std::nullopt;
-  using detail::CycleSign;
-
-  // Invariant: best_cycle_sign(lo) == positive (U > lo) and
-  //            best_cycle_sign(hi) == negative (U < hi).
-  Rational lo(0);  // wcets are >= 1 and a cycle exists, so U > 0
-  STRT_ASSERT(detail::best_cycle_sign(task, 0, 1) == CycleSign::kPositive,
-              "a cyclic task must have positive utilization");
-  Rational hi(task.max_wcet().count() + 1);  // U <= max wcet / min sep <= max
-  STRT_ASSERT(
-      detail::best_cycle_sign(task, hi.num(), hi.den()) ==
-          CycleSign::kNegative,
-      "utilization upper bound violated");
-
-  for (;;) {
-    const Rational mid = detail::simplest_between(lo, hi);
-    switch (detail::best_cycle_sign(task, mid.num(), mid.den())) {
-      case CycleSign::kPositive:
-        lo = mid;
-        break;
-      case CycleSign::kNegative:
-        hi = mid;
-        break;
-      case CycleSign::kZero:
-        return mid;
-    }
+  if (task.utilization_overflowed()) {
+    throw OverflowError("integer overflow in the utilization search");
   }
+  return task.utilization_;
 }
 
 }  // namespace strt

@@ -18,26 +18,30 @@ namespace strt {
 /// Exact maximum cycle ratio; nullopt for acyclic graphs (the task can
 /// only release finitely many jobs, long-run rate zero).
 ///
-/// Algorithm: parametric search.  For a candidate ratio q = a/b, the test
-/// graph with edge weights b*wcet(u) - a*separation(u,v) has a positive
-/// cycle iff U > q and a zero-weight (but no positive) cycle iff U == q.
-/// Candidates are driven by Stern-Brocot "simplest rational in the
-/// interval" probes, which converges in O(log) probes because U's
-/// continued-fraction expansion has logarithmic length.  Each probe is a
-/// Bellman-Ford longest-path sweep, O(V * E).
+/// O(1): DrtBuilder::build() runs the search (detail::max_cycle_ratio)
+/// once and the task stores the result, like its fingerprint.  Throws
+/// OverflowError if that search overflowed 64-bit arithmetic
+/// (DrtTask::utilization_overflowed()).
 [[nodiscard]] std::optional<Rational> utilization(const DrtTask& task);
 
 namespace detail {
 
-enum class CycleSign { kNegative, kZero, kPositive };
-
-/// Sign of the best cycle of the parametric test graph at ratio a/b.
-[[nodiscard]] CycleSign best_cycle_sign(const DrtTask& task,
-                                        std::int64_t a, std::int64_t b);
+/// The search behind utilization(); throws OverflowError on overflow.
+///
+/// Algorithm: parametric search.  For a candidate ratio q = a/b, the test
+/// graph with edge weights b*wcet(u) - a*separation(u,v) has a positive
+/// cycle iff U > q and a zero-weight (but no positive) cycle iff U == q.
+/// Candidates are driven by Stern-Brocot "simplest rational in the
+/// interval" probes (the mediant of the bounds, which stay adjacent Farey
+/// neighbours), which converges in O(log) probes because U's
+/// continued-fraction expansion has logarithmic length.  Each probe is a
+/// Bellman-Ford longest-path sweep, O(V * E), over buffers allocated once
+/// per search.
+[[nodiscard]] std::optional<Rational> max_cycle_ratio(const DrtTask& task);
 
 /// Simplest rational strictly between lo and hi (both exclusive);
 /// requires lo < hi.  "Simplest" = smallest denominator, then smallest
-/// numerator.  Exposed for testing.
+/// numerator.  Exposed as the test oracle for the mediant probes.
 [[nodiscard]] Rational simplest_between(const Rational& lo,
                                         const Rational& hi);
 

@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "base/assert.hpp"
+#include "graph/cycle_ratio.hpp"
 
 namespace strt {
 
@@ -138,6 +139,12 @@ DrtTask DrtBuilder::build() && {
     fp = hash_combine(fp, static_cast<std::uint64_t>(e.separation.count()));
   }
   task.fingerprint_ = fp;
+
+  try {
+    task.utilization_ = detail::max_cycle_ratio(task);
+  } catch (const OverflowError&) {
+    task.utilization_overflowed_ = true;
+  }
   return task;
 }
 

@@ -11,10 +11,12 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "base/rational.hpp"
 #include "base/types.hpp"
 
 namespace strt {
@@ -72,8 +74,17 @@ class DrtTask {
   /// key memoized rbf/dbf curves.
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
 
+  /// True if build() could not compute the long-run utilization because
+  /// the exact search overflowed 64-bit arithmetic (hostile magnitudes).
+  /// utilization() then throws OverflowError; check_task reports it.
+  [[nodiscard]] bool utilization_overflowed() const {
+    return utilization_overflowed_;
+  }
+
  private:
   friend class DrtBuilder;
+  /// Reads the utilization stored at build() (graph/cycle_ratio.hpp).
+  friend std::optional<Rational> utilization(const DrtTask& task);
   DrtTask() = default;
 
   std::string name_;
@@ -82,6 +93,8 @@ class DrtTask {
   std::vector<std::int32_t> out_index_;   // CSR offsets, size V+1
   std::vector<std::int32_t> out_edges_;   // CSR edge indices
   std::uint64_t fingerprint_{0};
+  std::optional<Rational> utilization_;  // nullopt: acyclic or overflowed
+  bool utilization_overflowed_{false};
 };
 
 /// Incremental construction of a DrtTask with validation at build().
@@ -98,6 +111,9 @@ class DrtBuilder {
 
   /// Validates and produces the task.  Throws std::invalid_argument on
   /// inconsistent input (bad ids, empty graph, non-positive parameters).
+  /// Also computes the fingerprint and the exact utilization once; a
+  /// utilization search that overflows is recorded on the task
+  /// (DrtTask::utilization_overflowed()), not thrown.
   [[nodiscard]] DrtTask build() &&;
 
  private:

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <map>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -83,15 +84,19 @@ std::string_view require_key(
   return it->second;
 }
 
-/// Diagnostic-collecting field lookup + integer parse: emits
-/// parse.missing-field / parse.invalid-value and returns `fallback` so the
-/// caller can keep scanning the rest of the input.
-std::int64_t read_int_field(
-    const std::map<std::string_view, std::string_view>& kv,
-    std::string_view key, const std::string& loc, std::int64_t fallback,
-    check::CheckResult& r) {
-  const auto it = kv.find(key);
-  if (it == kv.end()) {
+/// Diagnostic-collecting field lookup + integer parse over the key/value
+/// tokens of one directive (`pairs` = key1 v1 key2 v2 ...; a repeated key
+/// keeps its last value): emits parse.missing-field / parse.invalid-value
+/// and returns `fallback` so the caller can keep scanning the rest of the
+/// input.
+std::int64_t read_int_field(std::span<const std::string_view> pairs,
+                            std::string_view key, const std::string& loc,
+                            std::int64_t fallback, check::CheckResult& r) {
+  const std::string_view* value = nullptr;
+  for (std::size_t i = 0; i + 1 < pairs.size(); i += 2) {
+    if (pairs[i] == key) value = &pairs[i + 1];
+  }
+  if (value == nullptr) {
     std::string msg = "missing '";
     msg.append(key);
     msg += '\'';
@@ -99,12 +104,12 @@ std::int64_t read_int_field(
           std::move(msg));
     return fallback;
   }
-  const auto v = try_parse_int(it->second);
+  const auto v = try_parse_int(*value);
   if (!v) {
     std::string msg = "'";
     msg.append(key);
     msg += "' expects an integer, got '";
-    msg.append(it->second);
+    msg.append(*value);
     msg += '\'';
     r.add(check::Severity::kError, "parse.invalid-value", loc,
           std::move(msg));
@@ -154,10 +159,7 @@ ParseResult parse_task_checked(std::string_view text) {
               "usage: vertex <name> wcet <n> deadline <n>");
         continue;
       }
-      std::map<std::string_view, std::string_view> kv;
-      for (std::size_t i = 2; i + 1 < toks.size(); i += 2) {
-        kv[toks[i]] = toks[i + 1];
-      }
+      const auto kv = std::span(toks).subspan(2);
       const std::string name(toks[1]);
       if (ids.contains(name)) {
         r.add(kError, "parse.duplicate-vertex", loc,
@@ -179,10 +181,7 @@ ParseResult parse_task_checked(std::string_view text) {
         r.add(kError, "parse.syntax", loc, "usage: edge <from> <to> sep <n>");
         continue;
       }
-      std::map<std::string_view, std::string_view> kv;
-      for (std::size_t i = 3; i + 1 < toks.size(); i += 2) {
-        kv[toks[i]] = toks[i + 1];
-      }
+      const auto kv = std::span(toks).subspan(3);
       const auto from = ids.find(toks[1]);
       const auto to = ids.find(toks[2]);
       bool resolved = true;

@@ -136,6 +136,13 @@ std::vector<Trigger> triggers() {
                  b.add_edge(c, a, Time(4));
                  return check::check_task(std::move(b).build());
                }});
+  t.push_back({"drt.utilization-overflow", [] {
+                 // The first Bellman-Ford probe doubles 2^62 along the
+                 // self-loop: the exact search cannot stay in int64.
+                 constexpr std::int64_t kHuge = std::int64_t{1} << 62;
+                 return check::check_task(
+                     self_loop_task(kHuge, kHuge, kHuge));
+               }});
   t.push_back({"drt.wcet-exceeds-deadline", [] {
                  return check::check_task(self_loop_task(6, 5, 7));
                }});

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <limits>
+#include <utility>
 #include <vector>
 
+#include "base/rng.hpp"
+#include "core/sensitivity.hpp"
 #include "graph/cycle_ratio.hpp"
+#include "graph/scc.hpp"
 #include "model/generator.hpp"
 #include "model/gmf.hpp"
 #include "model/sporadic.hpp"
@@ -60,6 +66,34 @@ TEST(SimplestBetween, ExhaustiveSmallIntervals) {
   }
 }
 
+TEST(SimplestBetween, IsTheMediantOfFareyNeighbours) {
+  // Random Stern-Brocot descents: once hn*ld - ln*hd == 1, the simplest
+  // rational strictly inside is the mediant, already in lowest terms --
+  // which is why max_cycle_ratio always probes the mediant.
+  Rng rng(31);
+  for (int walk = 0; walk < 50; ++walk) {
+    std::int64_t ln = rng.uniform_int(0, 5);
+    std::int64_t ld = 1;
+    std::int64_t hn = ln + 1;
+    std::int64_t hd = 1;
+    for (int step = 0; step < 40; ++step) {
+      ASSERT_EQ(hn * ld - ln * hd, 1);
+      const Rational mediant(ln + hn, ld + hd);
+      EXPECT_EQ(mediant.num(), ln + hn);  // no reduction happened
+      EXPECT_EQ(mediant.den(), ld + hd);
+      EXPECT_EQ(detail::simplest_between(Rational(ln, ld), Rational(hn, hd)),
+                mediant);
+      if (rng.chance(0.5)) {
+        ln += hn;
+        ld += hd;
+      } else {
+        hn += ln;
+        hd += ld;
+      }
+    }
+  }
+}
+
 TEST(Utilization, SporadicIsWcetOverPeriod) {
   const SporadicTask sp{"s", Work(3), Time(7), Time(7)};
   const auto u = utilization(sp.to_drt());
@@ -105,6 +139,13 @@ TEST(Utilization, SelfLoopOfOne) {
   const auto u = utilization(std::move(b).build());
   ASSERT_TRUE(u.has_value());
   EXPECT_EQ(*u, Rational(1));
+}
+
+DrtTask self_loop_unit_task() {
+  DrtBuilder b("unit");
+  const VertexId a = b.add_vertex("A", Work(1), Time(1));
+  b.add_edge(a, a, Time(2));
+  return std::move(b).build();
 }
 
 /// Brute-force max cycle ratio by enumerating simple cycles (DFS).
@@ -168,6 +209,180 @@ TEST(Utilization, MatchesBruteForceOnRandomGraphs) {
     ASSERT_TRUE(u.has_value());
     EXPECT_EQ(*u, brute_max_cycle_ratio(task)) << "trial " << trial;
   }
+}
+
+/// Random DRT graph over 1-6 vertices: self-loops, sparse cross edges
+/// (so several SCCs are common) and wcets on the scale of the
+/// separations, so utilizations land on both sides of 1.
+DrtTask random_graph(Rng& rng) {
+  DrtBuilder b("rnd");
+  const auto n = rng.uniform_int(1, 6);
+  for (std::int64_t v = 0; v < n; ++v) {
+    b.add_vertex("v" + std::to_string(v), Work(rng.uniform_int(1, 12)),
+                 Time(1));
+  }
+  for (std::int64_t u = 0; u < n; ++u) {
+    for (std::int64_t v = 0; v < n; ++v) {
+      if (rng.chance(u == v ? 0.3 : 0.35)) {
+        b.add_edge(static_cast<VertexId>(u), static_cast<VertexId>(v),
+                   Time(rng.uniform_int(1, 12)));
+      }
+    }
+  }
+  return std::move(b).build();
+}
+
+bool has_self_loop(const DrtTask& task) {
+  return std::any_of(task.edges().begin(), task.edges().end(),
+                     [](const DrtEdge& e) { return e.from == e.to; });
+}
+
+TEST(Utilization, StoredValueMatchesSearchAndBruteForce) {
+  Rng rng(1406);
+  int cyclic = 0;
+  int self_loops = 0;
+  int multi_scc = 0;
+  int integer_at_least_one = 0;
+  int below_one = 0;
+  for (int trial = 0; trial < 800; ++trial) {
+    const DrtTask task = random_graph(rng);
+    const auto stored = utilization(task);
+    const auto searched = detail::max_cycle_ratio(task);
+    ASSERT_EQ(stored, searched) << "trial " << trial;
+    if (!stored) {
+      EXPECT_FALSE(task.is_cyclic()) << "trial " << trial;
+      continue;
+    }
+    // Every search ends on an exact zero-cycle probe at U itself.
+    EXPECT_EQ(*stored, brute_max_cycle_ratio(task)) << "trial " << trial;
+    ++cyclic;
+    if (has_self_loop(task)) ++self_loops;
+    if (strongly_connected_components(task).component_count > 1) {
+      ++multi_scc;
+    }
+    if (stored->is_integer() && *stored >= Rational(1)) {
+      ++integer_at_least_one;
+    }
+    if (*stored < Rational(1)) ++below_one;
+  }
+  // The corpus covers every shape the search distinguishes.
+  EXPECT_GE(cyclic, 500);
+  EXPECT_GE(self_loops, 100);
+  EXPECT_GE(multi_scc, 100);
+  EXPECT_GE(integer_at_least_one, 20);
+  EXPECT_GE(below_one, 20);
+}
+
+TEST(Utilization, RandomAcyclicTasksHaveNone) {
+  Rng rng(77);
+  for (int trial = 0; trial < 100; ++trial) {
+    DrtBuilder b("dag");
+    const auto n = rng.uniform_int(1, 6);
+    for (std::int64_t v = 0; v < n; ++v) {
+      b.add_vertex("v" + std::to_string(v), Work(rng.uniform_int(1, 9)),
+                   Time(1));
+    }
+    // Edges only go forward in index order, so no cycle exists.
+    for (std::int64_t u = 0; u < n; ++u) {
+      for (std::int64_t v = u + 1; v < n; ++v) {
+        if (rng.chance(0.5)) {
+          b.add_edge(static_cast<VertexId>(u), static_cast<VertexId>(v),
+                     Time(rng.uniform_int(1, 9)));
+        }
+      }
+    }
+    const DrtTask task = std::move(b).build();
+    EXPECT_FALSE(utilization(task).has_value()) << "trial " << trial;
+    EXPECT_FALSE(detail::max_cycle_ratio(task).has_value());
+    EXPECT_FALSE(task.utilization_overflowed());
+  }
+}
+
+TEST(Utilization, EveryBuildPathStoresTheValue) {
+  Rng rng(2024);
+  DrtGenParams params;
+  params.min_vertices = 3;
+  params.max_vertices = 6;
+  params.min_separation = Time(1);
+  params.max_separation = Time(12);
+  params.chord_probability = 0.3;
+  // wcets clamp at 1, so the first draw overshoots this target and the
+  // generator's corrective rescale always rebuilds the task.
+  params.target_utilization = 0.01;
+  for (int trial = 0; trial < 40; ++trial) {
+    const GeneratedTask g = random_drt(rng, params);
+    ASSERT_EQ(utilization(g.task),
+              std::optional<Rational>(g.exact_utilization));
+    EXPECT_EQ(g.exact_utilization, brute_max_cycle_ratio(g.task));
+
+    // Sensitivity's perturbed rebuilds.
+    const DrtTask heavier = with_wcet_increase(g.task, 0, Work(5));
+    EXPECT_EQ(utilization(heavier), detail::max_cycle_ratio(heavier));
+    EXPECT_EQ(*utilization(heavier), brute_max_cycle_ratio(heavier));
+    for (std::size_t i = 0; i < g.task.edge_count(); ++i) {
+      const Time sep = g.task.edges()[i].separation;
+      if (sep <= Time(1)) continue;
+      const DrtTask tighter =
+          with_separation_decrease(g.task, i, sep - Time(1));
+      EXPECT_EQ(utilization(tighter), detail::max_cycle_ratio(tighter));
+      EXPECT_EQ(*utilization(tighter), brute_max_cycle_ratio(tighter));
+    }
+
+    // scc's per-component sub-tasks: the worst component is the task.
+    std::optional<Rational> worst;
+    for (const std::optional<Rational>& u : scc_utilizations(g.task)) {
+      if (u && (!worst || *worst < *u)) worst = u;
+    }
+    EXPECT_EQ(worst, utilization(g.task)) << "trial " << trial;
+  }
+}
+
+TEST(Utilization, CopiesAndMovesKeepTheValue) {
+  Rng rng(5);
+  for (int trial = 0; trial < 20; ++trial) {
+    const DrtTask task = random_graph(rng);
+    const auto u = utilization(task);
+    DrtTask copy = task;
+    EXPECT_EQ(utilization(copy), u);
+    const DrtTask moved = std::move(copy);
+    EXPECT_EQ(utilization(moved), u);
+    DrtTask assigned = self_loop_unit_task();
+    assigned = moved;
+    EXPECT_EQ(utilization(assigned), u);
+    DrtTask move_assigned = self_loop_unit_task();
+    move_assigned = std::move(assigned);
+    EXPECT_EQ(utilization(move_assigned), u);
+  }
+}
+
+TEST(Utilization, OverflowIsRecordedAtBuildAndThrownOnRead) {
+  constexpr std::int64_t kHuge = std::int64_t{1} << 62;
+  DrtBuilder b("huge");
+  const VertexId a = b.add_vertex("A", Work(kHuge), Time(kHuge));
+  b.add_edge(a, a, Time(3));
+  const DrtTask task = std::move(b).build();  // does not throw
+  EXPECT_TRUE(task.utilization_overflowed());
+  EXPECT_THROW((void)utilization(task), OverflowError);
+  EXPECT_THROW((void)detail::max_cycle_ratio(task), OverflowError);
+  // The flag travels with copies and moves too.
+  DrtTask copy = task;
+  EXPECT_TRUE(copy.utilization_overflowed());
+  const DrtTask moved = std::move(copy);
+  EXPECT_THROW((void)utilization(moved), OverflowError);
+}
+
+TEST(Utilization, LargeButRepresentableMagnitudesStayExact) {
+  // One wcet near 2^31 on a two-cycle: U = (w + 1) / (s1 + s2) needs a
+  // long Stern-Brocot descent but no intermediate leaves int64.
+  const std::int64_t w = (std::int64_t{1} << 31) - 1;
+  DrtBuilder b("big");
+  const VertexId a = b.add_vertex("A", Work(w), Time(1));
+  const VertexId c = b.add_vertex("B", Work(1), Time(1));
+  b.add_edge(a, c, Time(999983)).add_edge(c, a, Time(1000003));
+  const DrtTask task = std::move(b).build();
+  EXPECT_FALSE(task.utilization_overflowed());
+  EXPECT_EQ(utilization(task), std::optional<Rational>(
+                                   Rational(w + 1, 999983 + 1000003)));
 }
 
 }  // namespace

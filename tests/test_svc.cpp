@@ -708,6 +708,42 @@ TEST(SvcStream, MalformedLinesCollectDiagnostics) {
   EXPECT_FALSE(p.diagnostics.ok());
 }
 
+TEST(SvcStream, UtilizationOverflowLineIsInvalidAndServingContinues) {
+  // wcet 2^62 on a self-loop: the exact utilization search overflows
+  // int64.  The task still builds; validation answers the request
+  // kInvalid and the next line is served normally.
+  std::istringstream in(
+      R"({"id":1,"kind":"structural","task":"task t\nvertex A wcet )"
+      R"(4611686018427387904 deadline 4611686018427387904\nedge A A )"
+      R"(sep 3\n","supply":"tdma slot 35 cycle 50"})"
+      "\n"
+      R"({"id": 2, "kind": "structural", "supply": "tdma slot 3 cycle 8",)"
+      R"( "task": "task t\nvertex A wcet 2 deadline 10\nedge A A sep 10"})"
+      "\n");
+  const std::vector<RequestParse> parses =
+      read_request_stream(in, StreamFormat::kJsonl);
+  ASSERT_EQ(parses.size(), 2u);
+
+  Service service;
+  std::vector<AnalysisOutcome> outcomes;
+  for (const RequestParse& p : parses) {
+    if (!p.request) {  // rejected while parsing: invalid, as strt_serve does
+      AnalysisOutcome out;
+      out.status = OutcomeStatus::kInvalid;
+      out.diagnostics = p.diagnostics;
+      outcomes.push_back(std::move(out));
+      continue;
+    }
+    outcomes.push_back(service.submit(*p.request).get());
+  }
+  service.drain();
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0].status, OutcomeStatus::kInvalid);
+  EXPECT_TRUE(outcomes[0].diagnostics.has("drt.utilization-overflow"))
+      << outcomes[0].diagnostics.to_json();
+  EXPECT_EQ(outcomes[1].status, OutcomeStatus::kOk);
+}
+
 TEST(SvcStream, StreamReaderSkipsCommentsAndCountsLines) {
   std::istringstream in(
       "# request stream\n"
