@@ -14,8 +14,7 @@
 // Expected shape: the service amortizes every rbf/dbf/sbf/derived-curve
 // memo across the requests that share a task system, so its throughput
 // is a multiple of the baseline's (>= 2x is the regression bar; the
-// ratio grows with requests-per-system).  The `serial no-batch` ablation
-// row isolates how much of the win is cache warmth alone.
+// ratio grows with requests-per-system).
 //
 // A throughput-vs-shards scaling sweep (1/2/4/8 worker shards over the
 // same corpus, each configuration bit-identity-gated) lands in
@@ -238,15 +237,11 @@ int main() {
   // Reset so the warm phase's histogram covers its requests alone.
   obs::Registry::global().reset();
 
-  // Warm batch service (the production configuration) and the serial
-  // no-batch ablation (shared warm workspace only).
+  // Warm batch service (the production configuration).
   svc::ServiceOptions warm_opts;
   warm_opts.start_paused = true;
   warm_opts.queue_capacity = reqs.size() + 1;
   warm_opts.max_batch = 64;
-  svc::ServiceOptions ablation_opts = warm_opts;
-  ablation_opts.batch_by_fingerprint = false;
-  ablation_opts.parallel_batches = false;
 
   svc::ServiceStats warm_stats;
   std::vector<svc::AnalysisOutcome> served;
@@ -258,19 +253,9 @@ int main() {
   }
   const obs::HistogramSnapshot warm_latency = h_latency.snapshot();
 
-  svc::ServiceStats ablation_stats;
-  std::vector<svc::AnalysisOutcome> ablated;
-  double ablation_ms = 0;
-  {
-    Phase phase("warm_serial_nobatch");
-    ablated = serve(ablation_opts, reqs, ablation_stats);
-    ablation_ms = phase.millis();
-  }
-
   // Bit-identity gate: timings mean nothing if the answers moved.
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    if (!same_outcome(baseline[i], served[i]) ||
-        !same_outcome(baseline[i], ablated[i])) {
+    if (!same_outcome(baseline[i], served[i])) {
       std::cerr << "bench: outcome mismatch vs the cold baseline at "
                    "request id "
                 << baseline[i].id << " -- service results must be "
@@ -289,11 +274,6 @@ int main() {
                "batches", "batched reqs"});
   table.add_row({"cold per-request", fmt_ratio(cold_ms),
                  fmt_ratio(throughput(cold_ms), 0), "1.00x", "-", "-"});
-  table.add_row({"warm serial no-batch", fmt_ratio(ablation_ms),
-                 fmt_ratio(throughput(ablation_ms), 0),
-                 fmt_ratio(cold_ms / ablation_ms) + "x",
-                 std::to_string(ablation_stats.batches),
-                 std::to_string(ablation_stats.batched_requests)});
   table.add_row({"warm batch service", fmt_ratio(warm_ms),
                  fmt_ratio(throughput(warm_ms), 0),
                  fmt_ratio(speedup) + "x",
@@ -306,7 +286,6 @@ int main() {
 
   report.metric("cold_ms", cold_ms);
   report.metric("warm_ms", warm_ms);
-  report.metric("warm_serial_nobatch_ms", ablation_ms);
   report.metric("cold_req_per_s", throughput(cold_ms));
   report.metric("warm_req_per_s", throughput(warm_ms));
   report.metric("speedup", speedup);

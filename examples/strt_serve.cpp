@@ -31,9 +31,8 @@
 //
 // Service knobs: --queue N (admission queue bound), --batch N (dispatch
 // window), --shards N (worker shard count; defaults to the STRT_SHARDS
-// environment variable, else 1), --no-batch (no fingerprint grouping),
-// --serial (no parallel batch tail), --no-cache (cold workspace
-// ablation), --threads N, --snapshot PATH (persistent warm-start cache:
+// environment variable, else 1), --no-cache (cold workspace ablation),
+// --threads N, --snapshot PATH (persistent warm-start cache:
 // loaded at startup, saved crash-safe at every drain and at shutdown;
 // defaults to STRT_SNAPSHOT), --cache-budget BYTES (interned-curve bytes
 // budget with K/M/G suffixes, e.g. 64M; defaults to STRT_CACHE_BUDGET).
@@ -138,10 +137,6 @@ int main(int argc, char** argv) {
       sopts.max_batch = std::stoull(next_value("a count"));
     } else if (arg == "--shards") {
       sopts.shards = std::stoull(next_value("a count"));
-    } else if (arg == "--no-batch") {
-      sopts.batch_by_fingerprint = false;
-    } else if (arg == "--serial") {
-      sopts.parallel_batches = false;
     } else if (arg == "--no-cache") {
       sopts.caching = false;
     } else if (arg == "--snapshot") {
@@ -176,7 +171,7 @@ int main(int argc, char** argv) {
       std::cerr << "unknown flag '" << arg << "'\n"
                 << "usage: strt_serve [requests-file] [--format jsonl|csv] "
                    "[--task-dir DIR] [--report out.json] [--queue N] "
-                   "[--batch N] [--shards N] [--no-batch] [--serial] "
+                   "[--batch N] [--shards N] "
                    "[--no-cache] [--snapshot PATH] [--cache-budget BYTES] "
                    "[--threads N] [--telemetry-dir DIR] "
                    "[--coarsen G] [--lockdep-report]\n";

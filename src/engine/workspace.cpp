@@ -4,12 +4,12 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <set>
+#include <source_location>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -17,10 +17,6 @@
 #include <unordered_set>
 #include <utility>
 #include <vector>
-
-#if STRT_LOCKDEP
-#include <source_location>
-#endif
 
 #include "base/assert.hpp"
 #include "base/config.hpp"
@@ -39,77 +35,69 @@ namespace strt::engine {
 
 namespace {
 
-/// Times one memo-table probe into the cache.lookup_ns histogram.  When
-/// observability is disabled the constructor skips the clock read, so the
-/// lookup paths keep their one-relaxed-load cost.
-class LookupTimer {
+std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
+/// Records the nanoseconds the scope took into the histogram `hist()`
+/// returns.  When observability is disabled the clock reads (and the
+/// histogram's registration) are skipped, so the memo paths keep their
+/// one-relaxed-load cost.
+class ScopedTimer {
  public:
-  LookupTimer() : armed_(obs::enabled()) {
-    if (armed_) start_ = std::chrono::steady_clock::now();
+  using HistogramFn = obs::Histogram& (*)();
+  explicit ScopedTimer(HistogramFn hist)
+      : hist_(obs::enabled() ? hist : nullptr) {
+    if (hist_ != nullptr) start_ = std::chrono::steady_clock::now();
   }
-  ~LookupTimer() {
-    if (!armed_) return;
-    static obs::Histogram& h = obs::histogram("cache.lookup_ns");
-    h.record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count()));
+  ~ScopedTimer() {
+    if (hist_ == nullptr) return;
+    hist_().record(ns_since(start_));
   }
 
-  LookupTimer(const LookupTimer&) = delete;
-  LookupTimer& operator=(const LookupTimer&) = delete;
+  ScopedTimer(const ScopedTimer&) = delete;
+  ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  bool armed_;
+  HistogramFn hist_;
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Stripes per memo-table family (power of two; fp & (kStripes - 1)
+obs::Histogram& lookup_ns() {
+  static obs::Histogram& h = obs::histogram("cache.lookup_ns");
+  return h;
+}
+obs::Histogram& lock_wait_ns() {
+  static obs::Histogram& h = obs::histogram("cache.lock_wait_ns");
+  return h;
+}
+
+/// Stripes per memo-table family (power of two; hash & (kStripes - 1)
 /// selects).  16 stripes keep the tables effectively contention-free for
 /// any plausible shard count while costing ~16 mutexes per family.
 inline constexpr std::size_t kStripes = 16;
 
 /// Scoped stripe lock: MutexLock plus acquisition timing into the
 /// cache.lock_wait_ns histogram, so striping's effect on contention is
-/// measurable (a contended stripe shows up as a fat tail).  When
-/// observability is disabled the clock reads are skipped.
+/// measurable (a contended stripe shows up as a fat tail).  Lockdep labels
+/// lock-order edges by acquisition site, so the caller passes its memo
+/// family's site: a witness chain names the family, and the same-site
+/// nesting check sees each family as its own site.
 class STRT_SCOPED_CAPABILITY StripeLock {
  public:
+  StripeLock(Mutex& mu, const std::source_location& site) STRT_ACQUIRE(mu)
+      : mu_(mu) {
+    const ScopedTimer wait(lock_wait_ns);
 #if STRT_LOCKDEP
-  // Lockdep labels lock-order edges by acquisition site: forward the
-  // StripeLock *construction* site, so a witness chain names the
-  // memo-family call site instead of this ctor's line -- and the
-  // same-site nesting check sees each family as its own site.
-  explicit StripeLock(Mutex& mu, const std::source_location& loc =
-                                     std::source_location::current())
-      STRT_ACQUIRE(mu) : mu_(mu) {
-    if (obs::enabled()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      mu_.lock(loc);
-      static obs::Histogram& h = obs::histogram("cache.lock_wait_ns");
-      h.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-    } else {
-      mu_.lock(loc);
-    }
-  }
+    mu_.lock(site);
 #else
-  explicit StripeLock(Mutex& mu) STRT_ACQUIRE(mu) : mu_(mu) {
-    if (obs::enabled()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      mu_.lock();
-      static obs::Histogram& h = obs::histogram("cache.lock_wait_ns");
-      h.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-    } else {
-      mu_.lock();
-    }
-  }
+    (void)site;
+    mu_.lock();
 #endif
+  }
   ~StripeLock() STRT_RELEASE() { mu_.unlock(); }
 
   StripeLock(const StripeLock&) = delete;
@@ -118,6 +106,160 @@ class STRT_SCOPED_CAPABILITY StripeLock {
  private:
   Mutex& mu_;
 };
+
+/// A per-workspace count (a WorkspaceStats field) mirrored into the
+/// process-wide obs counter kName, registered on first use.
+template <const char* kName>
+class Count {
+ public:
+  void add(std::uint64_t n = 1) {
+    value_.fetch_add(n, std::memory_order_relaxed);
+    static obs::Counter& c = obs::counter(kName);
+    c.add(n);
+  }
+  /// Releases without counting (cache.bytes counts interned bytes only).
+  void sub(std::uint64_t n) { value_.fetch_sub(n, std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t load() const {
+    return value_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::uint64_t> value_{0};
+};
+
+constexpr char kHits[] = "cache.hits";
+constexpr char kMisses[] = "cache.misses";
+constexpr char kBytes[] = "cache.bytes";
+constexpr char kInverseHits[] = "cache.inverse_hits";
+constexpr char kInverseMisses[] = "cache.inverse_misses";
+constexpr char kCoarseHits[] = "cache.coarse_hits";
+constexpr char kEvictions[] = "cache.evictions";
+constexpr char kEvictedBytes[] = "cache.evicted_bytes";
+
+/// Which of the aggregate tallies -- WorkspaceStats::hits / misses and the
+/// cache.hits / cache.misses counters -- a family's lookups feed.
+enum class Tally : std::uint8_t {
+  kNone,    // interned buckets, inverse entries: family counters only
+  kCached,  // lint results: lookups made with caching on
+  kAll,     // curve queries: cache-off recomputes count as misses too
+};
+
+enum Family : std::size_t {
+  kIntern,
+  kValidate,
+  kRbf,
+  kDbf,
+  kSbf,
+  kDerived,
+  kCoarse,
+  kInverse,
+  kFamilyCount,
+};
+
+/// What tells one memo family from another at run time: the name of its
+/// cache.<name>.hits / .misses counters (chosen so no exported metric name
+/// collides with the aggregate cache.coarse_hits / cache.inverse_hits),
+/// the aggregate tallies it feeds, and the source line lockdep names its
+/// stripe acquisitions by (one line per family).
+struct FamilySpec {
+  const char* name;
+  Tally tally;
+  std::source_location site;
+};
+
+inline constexpr std::array<FamilySpec, kFamilyCount> kFamilies{{
+    {"intern", Tally::kNone, std::source_location::current()},
+    {"validate", Tally::kCached, std::source_location::current()},
+    {"rbf", Tally::kAll, std::source_location::current()},
+    {"dbf", Tally::kAll, std::source_location::current()},
+    {"sbf", Tally::kAll, std::source_location::current()},
+    {"derived", Tally::kAll, std::source_location::current()},
+    {"coarsen", Tally::kAll, std::source_location::current()},
+    {"inverse_of", Tally::kNone, std::source_location::current()},
+}};
+
+struct FamilyCounters {
+  obs::Counter* hits;
+  obs::Counter* misses;
+};
+
+/// The per-family counters, registered once per process.
+const FamilyCounters& family_counters(Family family) {
+  static const std::array<FamilyCounters, kFamilyCount> all = [] {
+    std::array<FamilyCounters, kFamilyCount> out{};
+    for (std::size_t i = 0; i < kFamilyCount; ++i) {
+      const std::string base = std::string("cache.") + kFamilies[i].name;
+      out[i] = {&obs::counter(base + ".hits"), &obs::counter(base + ".misses")};
+    }
+    return out;
+  }();
+  return all[family];
+}
+
+/// Memo keys.  Each names its eviction group: a task fingerprint
+/// (validation, rbf/dbf horizons), a curve fingerprint (interned storage,
+/// derived ops on it, coarse curves, inverses), or a supply-description
+/// hash (its sbf materializations), so one LRU decision drops a coherent
+/// unit of warmth.  The key hash also selects the stripe.
+std::uint64_t group_of(std::uint64_t fp) { return fp; }
+template <class Key>
+std::uint64_t group_of(const Key& k) {
+  return k.group();
+}
+struct KeyHash {
+  std::size_t operator()(std::uint64_t fp) const { return fp; }
+  template <class Key>
+  std::size_t operator()(const Key& k) const {
+    return static_cast<std::size_t>(k.hash());
+  }
+};
+
+struct SbfKey {
+  std::string supply;  // Supply::describe()
+  std::int64_t horizon;
+  bool operator==(const SbfKey&) const = default;
+  std::uint64_t group() const { return std::hash<std::string>{}(supply); }
+  std::uint64_t hash() const {
+    return hash_combine(group(), static_cast<std::uint64_t>(horizon));
+  }
+};
+
+struct DerivedKey {
+  std::uint8_t op;
+  std::uint64_t a;
+  std::uint64_t b;
+  bool operator==(const DerivedKey&) const = default;
+  std::uint64_t group() const { return a; }
+  std::uint64_t hash() const { return hash_combine(hash_combine(a, b), op); }
+};
+
+struct CoarseKey {
+  std::uint64_t fp;
+  std::int64_t g;
+  std::uint8_t side;  // 0 = lower, 1 = upper
+  bool operator==(const CoarseKey&) const = default;
+  std::uint64_t group() const { return fp; }
+  std::uint64_t hash() const {
+    return hash_combine(hash_combine(fp, static_cast<std::uint64_t>(g)), side);
+  }
+};
+
+/// Interned curves sharing one content fingerprint (more than one only on
+/// a 64-bit collision).  Only interned storage carries bytes: every other
+/// family's values point into it.
+using Bucket = std::vector<CurvePtr>;
+std::uint64_t curve_bytes(const CurvePtr& p) {
+  return sizeof(Staircase) + p->store_bytes();
+}
+std::uint64_t bytes_of(const Bucket& bucket) {
+  std::uint64_t n = 0;
+  for (const CurvePtr& p : bucket) n += curve_bytes(p);
+  return n;
+}
+template <class Value>
+std::uint64_t bytes_of(const Value&) {
+  return 0;
+}
 
 }  // namespace
 
@@ -139,31 +281,12 @@ struct Workspace::PseudoInverse::Entry {
 };
 
 struct Workspace::Impl {
-  struct TaskEntry {
-    /// The largest-horizon materialization so far (source of truncations).
-    CurvePtr max_curve;
-    /// Every horizon already answered, for exact re-hits.
-    std::map<std::int64_t, CurvePtr> by_horizon;
-  };
+  explicit Impl(bool on) : caching(on) {}
 
-  struct DerivedKey {
-    std::uint8_t op;
-    std::uint64_t a;
-    std::uint64_t b;
-    friend bool operator==(const DerivedKey&, const DerivedKey&) = default;
-  };
-  struct DerivedKeyHash {
-    std::size_t operator()(const DerivedKey& k) const {
-      return static_cast<std::size_t>(
-          hash_combine(hash_combine(k.a, k.b), k.op));
-    }
-  };
+  const bool caching;
 
-  /// One stripe family: kStripes (mutex, table) pairs selected by a
-  /// 64-bit key hash, so lookups about different keys almost never share
-  /// a lock.  Every path keeps compute-outside-lock and first-insert-wins
-  /// semantics, so striping is invisible to results -- two keys landing
-  /// on the same stripe only cost contention, never correctness.
+  /// kStripes (mutex, table) pairs selected by a 64-bit key hash, so
+  /// lookups about different keys almost never share a lock.
   template <class Table>
   struct Striped {
     struct Stripe {
@@ -176,61 +299,195 @@ struct Workspace::Impl {
     }
   };
 
-  Striped<std::unordered_map<std::uint64_t, std::vector<CurvePtr>>> interned;
+  /// One memo family: a striped Key -> Value table plus the policy every
+  /// family shares, written once.  A probe takes only its stripe's lock;
+  /// computation runs outside the locks, so two threads may race to fill
+  /// the same slot -- both compute the identical canonical value and the
+  /// first insert wins, keeping cache-on results bit-identical to
+  /// cache-off, to any thread count and to any shard count.  No method
+  /// holds two stripe locks at once, and the eviction registry lock is
+  /// only ever taken after a stripe lock is released.
+  template <class Key, class Value>
+  class Memo {
+   public:
+    Memo(Impl& ws, Family family)
+        : ws_(ws),
+          spec_(kFamilies[family]),
+          counters_(family_counters(family)) {}
 
-  Striped<std::unordered_map<std::uint64_t, TaskEntry>> rbfs;
-  Striped<std::unordered_map<std::uint64_t, TaskEntry>> dbfs;
+    /// The cached value for key_of(), else compute()'s result inserted
+    /// first-insert-wins.  With caching off, a counted pass-through that
+    /// never builds the key.  *hit_out (when given) reports a cache hit.
+    template <class KeyFn, class Compute>
+    Value get(KeyFn&& key_of, Compute&& compute, bool* hit_out = nullptr) {
+      if (!ws_.caching) return fresh(compute);
+      const Key key = key_of();
+      std::optional<Value> cached = probe(key, [](const Value* v) {
+        return v ? std::optional(*v) : std::nullopt;
+      });
+      if (cached) {
+        hit(key);
+        if (hit_out != nullptr) *hit_out = true;
+        return *std::move(cached);
+      }
+      Value value = compute();
+      note(/*was_hit=*/false);
+      return insert(key, std::move(value));
+    }
 
-  Striped<std::map<std::pair<std::string, std::int64_t>, CurvePtr>> sbfs;
+    /// Cache-off pass-through: computes fresh, counted as a miss.
+    template <class Compute>
+    auto fresh(Compute&& compute) {
+      note(/*was_hit=*/false, /*cached=*/false);
+      return compute();
+    }
 
-  Striped<std::unordered_map<DerivedKey, CurvePtr, DerivedKeyHash>> derived;
+    /// Timed probe: visit(const Value*) under the stripe lock (nullptr
+    /// when absent -- probing never inserts).
+    template <class Visit>
+    auto probe(const Key& key, Visit&& visit) {
+      Stripe& s = stripe(key);
+      const ScopedTimer timer(lookup_ns);
+      const StripeLock lock(s.m, spec_.site);
+      const auto it = s.table.find(key);
+      return visit(it == s.table.end() ? nullptr : &it->second);
+    }
 
-  struct CoarseKey {
-    std::uint64_t fp;
-    std::int64_t g;
-    std::uint8_t side;  // 0 = lower, 1 = upper
-    friend bool operator==(const CoarseKey&, const CoarseKey&) = default;
+    /// Runs f(slot) on key's slot (default-constructed when absent) under
+    /// the stripe lock.  The caller touches the group afterwards.
+    template <class F>
+    decltype(auto) locked(const Key& key, F&& f) {
+      Stripe& s = stripe(key);
+      const StripeLock lock(s.m, spec_.site);
+      return f(s.table[key]);
+    }
+
+    /// First insert wins: returns the value the table holds for key.
+    Value insert(const Key& key, Value value) {
+      {
+        Stripe& s = stripe(key);
+        const StripeLock lock(s.m, spec_.site);
+        const auto [it, inserted] = s.table.try_emplace(key, value);
+        if (!inserted) value = it->second;
+      }
+      touch(key);
+      return value;
+    }
+
+    void hit(const Key& key) {
+      note(/*was_hit=*/true);
+      touch(key);
+    }
+
+    void note(bool was_hit, bool cached = true) {
+      (was_hit ? counters_.hits : counters_.misses)->add(1);
+      if (spec_.tally == Tally::kNone ||
+          (spec_.tally == Tally::kCached && !cached)) {
+        return;
+      }
+      was_hit ? ws_.hits.add() : ws_.misses.add();
+    }
+
+    /// Records LRU activity on key's group (and attributes interned
+    /// bytes to it).  No-op while no budget is armed, so the hit paths
+    /// keep their lock-free cost in the default configuration.
+    void touch(const Key& key, std::uint64_t add_bytes = 0) {
+      if (ws_.budget_on()) ws_.touch_group(group_of(key), add_bytes);
+    }
+
+    /// Visits every entry, one stripe lock at a time (save).
+    template <class Visit>
+    void for_each(Visit&& visit) {
+      for (Stripe& s : tables_.stripes) {
+        const StripeLock lock(s.m, spec_.site);
+        for (const auto& [key, value] : s.table) visit(key, value);
+      }
+    }
+
+    /// Adds every entry's group and bytes to `found` (budget backfill).
+    void collect_groups(
+        std::unordered_map<std::uint64_t, std::uint64_t>& found) {
+      for_each([&found](const Key& key, const Value& value) {
+        found[group_of(key)] += bytes_of(value);
+      });
+    }
+
+    /// Erases every entry in a victim group; returns the bytes released.
+    std::uint64_t erase_groups(
+        const std::unordered_set<std::uint64_t>& victims) {
+      std::uint64_t freed = 0;
+      for (Stripe& s : tables_.stripes) {
+        const StripeLock lock(s.m, spec_.site);
+        for (auto it = s.table.begin(); it != s.table.end();) {
+          if (victims.contains(group_of(it->first))) {
+            freed += bytes_of(it->second);
+            it = s.table.erase(it);
+          } else {
+            ++it;
+          }
+        }
+      }
+      return freed;
+    }
+
+   private:
+    using Table = std::unordered_map<Key, Value, KeyHash>;
+    using Stripe = typename Striped<Table>::Stripe;
+
+    Stripe& stripe(const Key& key) { return tables_.of(KeyHash{}(key)); }
+
+    Impl& ws_;
+    const FamilySpec& spec_;
+    const FamilyCounters& counters_;
+    Striped<Table> tables_;
   };
-  struct CoarseKeyHash {
-    std::size_t operator()(const CoarseKey& k) const {
-      return static_cast<std::size_t>(hash_combine(
-          hash_combine(k.fp, static_cast<std::uint64_t>(k.g)), k.side));
+
+  struct TaskEntry {
+    /// The largest-horizon materialization so far (source of truncations).
+    CurvePtr max_curve;
+    /// Every horizon already answered, for exact re-hits.
+    std::map<std::int64_t, CurvePtr> by_horizon;
+
+    void keep_widest(const CurvePtr& c) {
+      if (!max_curve || max_curve->horizon() < c->horizon()) max_curve = c;
     }
   };
-  struct CoarseEntry {
-    CurvePtr curve;
-    Work max_error{0};
-  };
-  Striped<std::unordered_map<CoarseKey, CoarseEntry, CoarseKeyHash>> coarse;
 
-  Striped<std::unordered_map<std::uint64_t,
-                             std::shared_ptr<PseudoInverse::Entry>>>
-      inverses;
+  Memo<std::uint64_t, Bucket> interned{*this, kIntern};
+  Memo<std::uint64_t, std::shared_ptr<const check::CheckResult>> validations{
+      *this, kValidate};
+  Memo<std::uint64_t, TaskEntry> rbfs{*this, kRbf};
+  Memo<std::uint64_t, TaskEntry> dbfs{*this, kDbf};
+  Memo<SbfKey, CurvePtr> sbfs{*this, kSbf};
+  Memo<DerivedKey, CurvePtr> derived{*this, kDerived};
+  Memo<CoarseKey, CoarseCurvePtr> coarse{*this, kCoarse};
+  Memo<std::uint64_t, std::shared_ptr<PseudoInverse::Entry>> inverses{
+      *this, kInverse};
 
-  Striped<std::unordered_map<std::uint64_t,
-                             std::shared_ptr<const check::CheckResult>>>
-      validations;
+  /// Applies f to every family (eviction sweep, budget backfill).
+  template <class F>
+  void for_each_memo(F&& f) {
+    std::apply([&f](auto&... memo) { (f(memo), ...); },
+               std::tie(interned, validations, rbfs, dbfs, sbfs, derived,
+                        coarse, inverses));
+  }
 
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-  std::atomic<std::uint64_t> bytes{0};
-  std::atomic<std::uint64_t> inverse_hits{0};
-  std::atomic<std::uint64_t> inverse_misses{0};
-  std::atomic<std::uint64_t> coarse_hits{0};
-  std::atomic<std::uint64_t> evictions{0};
-  std::atomic<std::uint64_t> evicted_bytes{0};
+  Count<kHits> hits;
+  Count<kMisses> misses;
+  Count<kBytes> bytes;
+  Count<kInverseHits> inverse_hits;
+  Count<kInverseMisses> inverse_misses;
+  Count<kCoarseHits> coarse_hits;
+  Count<kEvictions> evictions;
+  Count<kEvictedBytes> evicted_bytes;
 
-  /// Bytes-budget eviction state.  A "group" is a top-level memo key --
-  /// a task fingerprint (all its rbf/dbf horizons), a curve fingerprint
-  /// (its interned storage, derived ops, coarse curves, inverses), or a
-  /// supply-description hash (its sbf materializations) -- so one LRU
-  /// decision drops a coherent unit of warmth.  Touch order is a relaxed
-  /// atomic clock; the registry itself is a plain std::mutex (never
-  /// strt::Mutex: it is a leaf lock consulted from inside the memo hot
-  /// paths only while a budget is armed, and it must not feed lockdep
-  /// edges).  Lock discipline: the registry lock is never held while a
-  /// stripe lock is acquired, so it cannot participate in a cycle with
-  /// the memo stripes.
+  /// Bytes-budget eviction state: one LRU entry per group (see group_of).
+  /// Touch order is a relaxed atomic clock; the registry itself is a plain
+  /// std::mutex (never strt::Mutex: it is a leaf lock consulted from the
+  /// memo paths only while a budget is armed, and it must not feed
+  /// lockdep edges).  Lock discipline: the registry lock is never held
+  /// while a stripe lock is acquired, so it cannot participate in a cycle
+  /// with the memo stripes.
   struct Group {
     std::uint64_t bytes = 0;       // interned-curve bytes attributed here
     std::uint64_t last_touch = 0;  // clock value of the latest hit/insert
@@ -250,11 +507,7 @@ struct Workspace::Impl {
     return budget.load(std::memory_order_relaxed) != 0;
   }
 
-  /// Records activity on a group (and optionally attributes interned
-  /// bytes to it).  No-op while no budget is armed, so the hit paths
-  /// keep their lock-free cost in the default configuration.
-  void touch_group(std::uint64_t group, std::uint64_t add_bytes = 0) {
-    if (!budget_on()) return;
+  void touch_group(std::uint64_t group, std::uint64_t add_bytes) {
     const std::uint64_t now =
         touch_clock.fetch_add(1, std::memory_order_relaxed) + 1;
     const std::lock_guard<std::mutex> lock(evict.mu);
@@ -263,208 +516,84 @@ struct Workspace::Impl {
     g.bytes += add_bytes;
   }
 
-  void evict_to_budget(std::uint64_t target);
-  void backfill_groups();
+  /// Drops least-recently-touched groups until the interned storage fits
+  /// `target` bytes (or every unpinned group is gone).  Victim selection
+  /// runs under the registry lock; the erase sweep then walks every
+  /// family stripe by stripe, so no two locks are ever held together.
+  /// Races with concurrent touches are benign: an entry inserted into a
+  /// victim group after selection survives the sweep of earlier stripes
+  /// or is recomputed on its next query -- results are unaffected either
+  /// way (bit-identity contract).
+  void evict_to_budget(std::uint64_t target) {
+    for (;;) {
+      std::vector<std::uint64_t> victims;
+      {
+        const std::lock_guard<std::mutex> lock(evict.mu);
+        const std::uint64_t held = bytes.load();
+        if (held <= target || evict.groups.empty()) return;
+        const std::uint64_t min_pin =
+            evict.pins.empty() ? std::numeric_limits<std::uint64_t>::max()
+                               : *evict.pins.begin();
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> order;
+        order.reserve(evict.groups.size());
+        for (const auto& [group, info] : evict.groups) {
+          // A group touched at or after the oldest live pin may be a batch
+          // leader's in-flight warmth: never evict it.
+          if (info.last_touch < min_pin) {
+            order.emplace_back(info.last_touch, group);
+          }
+        }
+        if (order.empty()) return;  // everything live is pinned
+        std::sort(order.begin(), order.end());
+        const std::uint64_t need = held - target;
+        std::uint64_t covered = 0;
+        for (const auto& [touch, group] : order) {
+          victims.push_back(group);
+          covered += evict.groups[group].bytes;
+          if (covered >= need) break;
+        }
+        for (const std::uint64_t group : victims) evict.groups.erase(group);
+      }
+
+      const std::unordered_set<std::uint64_t> vset(victims.begin(),
+                                                   victims.end());
+      std::uint64_t freed = 0;
+      for_each_memo([&](auto& memo) { freed += memo.erase_groups(vset); });
+
+      bytes.sub(freed);
+      evictions.add(victims.size());
+      evicted_bytes.add(freed);
+    }
+  }
+
+  /// Rebuilds the eviction registry from the live memo tables.  While no
+  /// budget is armed, Memo::touch() is a no-op (the memo hot paths stay
+  /// lock-free in the default configuration), so warmth accumulated in
+  /// that state has no group attribution.  On the unlimited -> budgeted
+  /// transition every live group is registered with last_touch = 0: older
+  /// than any subsequent touch, so pre-budget warmth is the first LRU
+  /// victim.  The registry lock is only taken after the stripe walks.
+  void backfill_groups() {
+    std::unordered_map<std::uint64_t, std::uint64_t> found;  // group -> bytes
+    for_each_memo([&found](auto& memo) { memo.collect_groups(found); });
+    const std::lock_guard<std::mutex> lock(evict.mu);
+    evict.groups.clear();
+    for (const auto& [group, sz] : found) {
+      evict.groups.emplace(group, Group{sz, 0});
+    }
+  }
   void maybe_evict() {
     const std::uint64_t b = budget.load(std::memory_order_relaxed);
-    if (b != 0 && bytes.load(std::memory_order_relaxed) > b) {
+    if (b != 0 && bytes.load() > b) {
       evict_to_budget(b);
     }
   }
-
-  void note_hit() {
-    hits.fetch_add(1, std::memory_order_relaxed);
-    static obs::Counter& c = obs::counter("cache.hits");
-    c.add(1);
-  }
-  void note_miss() {
-    misses.fetch_add(1, std::memory_order_relaxed);
-    static obs::Counter& c = obs::counter("cache.misses");
-    c.add(1);
-  }
-  void note_bytes(std::uint64_t n) {
-    bytes.fetch_add(n, std::memory_order_relaxed);
-    static obs::Counter& c = obs::counter("cache.bytes");
-    c.add(n);
-  }
-  void note_coarse_hit() {
-    coarse_hits.fetch_add(1, std::memory_order_relaxed);
-    static obs::Counter& c = obs::counter("cache.coarse_hits");
-    c.add(1);
-  }
-  void note_inverse(bool hit) {
-    (hit ? inverse_hits : inverse_misses)
-        .fetch_add(1, std::memory_order_relaxed);
-    static obs::Counter& ch = obs::counter("cache.inverse_hits");
-    static obs::Counter& cm = obs::counter("cache.inverse_misses");
-    (hit ? ch : cm).add(1);
-  }
 };
-
-/// Drops least-recently-touched groups until the interned storage fits
-/// `target` bytes (or every unpinned group is gone).  Victim selection
-/// runs under the registry lock; the erase sweep then walks every
-/// family stripe by stripe, so no two locks are ever held together.
-/// Races with concurrent touches are benign: an entry inserted into a
-/// victim group after selection survives the sweep of earlier stripes
-/// or is recomputed on its next query -- results are unaffected either
-/// way (bit-identity contract).
-void Workspace::Impl::evict_to_budget(std::uint64_t target) {
-  for (;;) {
-    std::vector<std::uint64_t> victims;
-    {
-      const std::lock_guard<std::mutex> lock(evict.mu);
-      const std::uint64_t held = bytes.load(std::memory_order_relaxed);
-      if (held <= target || evict.groups.empty()) return;
-      const std::uint64_t min_pin =
-          evict.pins.empty() ? std::numeric_limits<std::uint64_t>::max()
-                             : *evict.pins.begin();
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> order;
-      order.reserve(evict.groups.size());
-      for (const auto& [group, info] : evict.groups) {
-        // A group touched at or after the oldest live pin may be a batch
-        // leader's in-flight warmth: never evict it.
-        if (info.last_touch < min_pin) order.emplace_back(info.last_touch, group);
-      }
-      if (order.empty()) return;  // everything live is pinned
-      std::sort(order.begin(), order.end());
-      const std::uint64_t need = held - target;
-      std::uint64_t covered = 0;
-      for (const auto& [touch, group] : order) {
-        victims.push_back(group);
-        covered += evict.groups[group].bytes;
-        if (covered >= need) break;
-      }
-      for (const std::uint64_t group : victims) evict.groups.erase(group);
-    }
-
-    const std::unordered_set<std::uint64_t> vset(victims.begin(),
-                                                 victims.end());
-    const auto hit = [&vset](std::uint64_t group) {
-      return vset.find(group) != vset.end();
-    };
-    std::uint64_t freed = 0;
-    for (auto& stripe : interned.stripes) {
-      const StripeLock lock(stripe.m);
-      for (auto it = stripe.table.begin(); it != stripe.table.end();) {
-        if (hit(it->first)) {
-          for (const CurvePtr& p : it->second) {
-            freed += sizeof(Staircase) + p->store_bytes();
-          }
-          it = stripe.table.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    for (auto* family : {&rbfs, &dbfs}) {
-      for (auto& stripe : family->stripes) {
-        const StripeLock lock(stripe.m);
-        for (auto it = stripe.table.begin(); it != stripe.table.end();) {
-          it = hit(it->first) ? stripe.table.erase(it) : std::next(it);
-        }
-      }
-    }
-    for (auto& stripe : sbfs.stripes) {
-      const StripeLock lock(stripe.m);
-      for (auto it = stripe.table.begin(); it != stripe.table.end();) {
-        const std::uint64_t group = std::hash<std::string>{}(it->first.first);
-        it = hit(group) ? stripe.table.erase(it) : std::next(it);
-      }
-    }
-    for (auto& stripe : derived.stripes) {
-      const StripeLock lock(stripe.m);
-      for (auto it = stripe.table.begin(); it != stripe.table.end();) {
-        it = hit(it->first.a) ? stripe.table.erase(it) : std::next(it);
-      }
-    }
-    for (auto& stripe : coarse.stripes) {
-      const StripeLock lock(stripe.m);
-      for (auto it = stripe.table.begin(); it != stripe.table.end();) {
-        it = hit(it->first.fp) ? stripe.table.erase(it) : std::next(it);
-      }
-    }
-    for (auto& stripe : inverses.stripes) {
-      const StripeLock lock(stripe.m);
-      for (auto it = stripe.table.begin(); it != stripe.table.end();) {
-        it = hit(it->first) ? stripe.table.erase(it) : std::next(it);
-      }
-    }
-    for (auto& stripe : validations.stripes) {
-      const StripeLock lock(stripe.m);
-      for (auto it = stripe.table.begin(); it != stripe.table.end();) {
-        it = hit(it->first) ? stripe.table.erase(it) : std::next(it);
-      }
-    }
-
-    bytes.fetch_sub(freed, std::memory_order_relaxed);
-    evictions.fetch_add(victims.size(), std::memory_order_relaxed);
-    evicted_bytes.fetch_add(freed, std::memory_order_relaxed);
-    static obs::Counter& c_evictions = obs::counter("cache.evictions");
-    static obs::Counter& c_evicted = obs::counter("cache.evicted_bytes");
-    c_evictions.add(victims.size());
-    c_evicted.add(freed);
-  }
-}
-
-/// Rebuilds the eviction registry from the live memo tables.  While no
-/// budget is armed, touch_group() is a no-op (the memo hot paths stay
-/// lock-free in the default configuration), so warmth accumulated in
-/// that state has no group attribution.  On the unlimited -> budgeted
-/// transition this walks every family and registers each top-level key
-/// with last_touch = 0: older than any subsequent touch, so pre-budget
-/// warmth is the first LRU victim.  Same lock discipline as the evict
-/// sweep -- stripes are scanned one at a time, and the registry lock is
-/// only taken afterwards with no stripe lock held.
-void Workspace::Impl::backfill_groups() {
-  std::unordered_map<std::uint64_t, std::uint64_t> found;  // group -> bytes
-  for (auto& stripe : interned.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [fp, bucket] : stripe.table) {
-      std::uint64_t sz = 0;
-      for (const CurvePtr& p : bucket) sz += sizeof(Staircase) + p->store_bytes();
-      found[fp] += sz;
-    }
-  }
-  for (auto* family : {&rbfs, &dbfs}) {
-    for (auto& stripe : family->stripes) {
-      const StripeLock lock(stripe.m);
-      for (const auto& [fp, entry] : stripe.table) found.emplace(fp, 0);
-    }
-  }
-  for (auto& stripe : sbfs.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [key, curve] : stripe.table) {
-      found.emplace(std::hash<std::string>{}(key.first), 0);
-    }
-  }
-  for (auto& stripe : derived.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [key, curve] : stripe.table) found.emplace(key.a, 0);
-  }
-  for (auto& stripe : coarse.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [key, entry] : stripe.table) found.emplace(key.fp, 0);
-  }
-  for (auto& stripe : inverses.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [fp, entry] : stripe.table) found.emplace(fp, 0);
-  }
-  for (auto& stripe : validations.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [fp, entry] : stripe.table) found.emplace(fp, 0);
-  }
-  const std::lock_guard<std::mutex> lock(evict.mu);
-  evict.groups.clear();
-  for (const auto& [group, sz] : found) {
-    evict.groups.emplace(group, Group{sz, 0});
-  }
-}
 
 Workspace::Workspace() : Workspace(cache_enabled_default()) {}
 
 Workspace::Workspace(bool caching)
-    : impl_(std::make_unique<Impl>()), caching_(caching) {}
+    : impl_(std::make_unique<Impl>(caching)), caching_(caching) {}
 
 Workspace::Workspace(bool caching, std::uint64_t cache_bytes_budget)
     : Workspace(caching) {
@@ -511,122 +640,78 @@ Workspace::BatchPin Workspace::pin_batch() {
 CurvePtr Workspace::intern(Staircase c) {
   if (!caching_) return std::make_shared<const Staircase>(std::move(c));
   const std::uint64_t fp = fingerprint(c);
-  auto& stripe = impl_->interned.of(fp);
-  CurvePtr result;
   bool inserted = false;
-  {
-    const StripeLock lock(stripe.m);
-    std::vector<CurvePtr>& bucket = stripe.table[fp];
+  const CurvePtr result = impl_->interned.locked(fp, [&](Bucket& bucket) {
     for (const CurvePtr& p : bucket) {
-      if (*p == c) {
-        result = p;
-        break;
-      }
+      if (*p == c) return p;
     }
-    if (!result) {
-      // A non-empty bucket here means two unequal curves share a 64-bit
-      // content fingerprint.  Hash-consing stays correct (full equality
-      // above decides), but every fingerprint-keyed memo table would then
-      // conflate them -- flag it under STRT_VALIDATE.
-      STRT_DCHECK(bucket.empty(),
-                  "curve fingerprint collision: unequal curves share a hash");
-      result = std::make_shared<const Staircase>(std::move(c));
-      bucket.push_back(result);
-      inserted = true;
-    }
-  }
-  if (inserted) {
-    const std::uint64_t sz = sizeof(Staircase) + result->store_bytes();
-    impl_->note_bytes(sz);
-    impl_->touch_group(fp, sz);
-    // Online eviction: triggered outside the stripe lock, so the sweep
-    // can take each stripe in turn without nesting.
-    impl_->maybe_evict();
-  } else {
-    impl_->touch_group(fp);
-  }
+    // A non-empty bucket here means two unequal curves share a 64-bit
+    // content fingerprint.  Hash-consing stays correct (full equality
+    // above decides), but every fingerprint-keyed memo table would then
+    // conflate them -- flag it under STRT_VALIDATE.
+    STRT_DCHECK(bucket.empty(),
+                "curve fingerprint collision: unequal curves share a hash");
+    inserted = true;
+    return bucket.emplace_back(std::make_shared<const Staircase>(std::move(c)));
+  });
+  impl_->interned.note(/*was_hit=*/!inserted);
+  const std::uint64_t sz = inserted ? curve_bytes(result) : 0;
+  if (inserted) impl_->bytes.add(sz);
+  impl_->interned.touch(fp, sz);
+  // Online eviction: triggered outside the stripe lock, so the sweep
+  // can take each stripe in turn without nesting.
+  if (inserted) impl_->maybe_evict();
   return result;
 }
 
 std::shared_ptr<const check::CheckResult> Workspace::validate(
     const DrtTask& task) {
-  if (!caching_) {
-    return std::make_shared<const check::CheckResult>(check::check_task(task));
-  }
-  const std::uint64_t fp = task.fingerprint();
-  auto& stripe = impl_->validations.of(fp);
-  {
-    const LookupTimer timer;
-    const StripeLock lock(stripe.m);
-    if (const auto it = stripe.table.find(fp); it != stripe.table.end()) {
-      impl_->note_hit();
-      impl_->touch_group(fp);
-      return it->second;
-    }
-  }
   // Lint outside the lock; racers produce identical results (the pass is
-  // pure) and the emplace below keeps the first one.
-  auto result =
-      std::make_shared<const check::CheckResult>(check::check_task(task));
-  impl_->note_miss();
-  {
-    const StripeLock lock(stripe.m);
-    const auto [it, inserted] = stripe.table.emplace(fp, result);
-    if (!inserted) result = it->second;
-  }
-  impl_->touch_group(fp);
-  return result;
+  // pure) and the first insert wins.
+  return impl_->validations.get([&] { return task.fingerprint(); }, [&] {
+    return std::make_shared<const check::CheckResult>(check::check_task(task));
+  });
 }
 
 CurvePtr Workspace::workload_curve(const DrtTask& task, Time horizon,
                                    bool demand) {
+  auto& memo = demand ? impl_->dbfs : impl_->rbfs;
   const auto compute = [&] {
-    return demand ? strt::dbf(task, horizon) : strt::rbf(task, horizon);
+    return intern(demand ? strt::dbf(task, horizon) : strt::rbf(task, horizon));
   };
-  if (!caching_) {
-    impl_->note_miss();
-    return std::make_shared<const Staircase>(compute());
-  }
-  auto& family = demand ? impl_->dbfs : impl_->rbfs;
+  if (!caching_) return memo.fresh(compute);
   const std::uint64_t fp = task.fingerprint();
-  auto& stripe = family.of(fp);
 
   CurvePtr base;  // cached curve on a larger horizon, if any
-  {
-    const LookupTimer timer;
-    const StripeLock lock(stripe.m);
-    Impl::TaskEntry& e = stripe.table[fp];
-    if (const auto hit = e.by_horizon.find(horizon.count());
-        hit != e.by_horizon.end()) {
-      impl_->note_hit();
-      impl_->touch_group(fp);
-      return hit->second;
-    }
-    if (e.max_curve && e.max_curve->horizon() > horizon) base = e.max_curve;
+  const CurvePtr cached =
+      memo.probe(fp, [&](const Impl::TaskEntry* e) -> CurvePtr {
+        if (e == nullptr) return nullptr;
+        if (const auto it = e->by_horizon.find(horizon.count());
+            it != e->by_horizon.end()) {
+          return it->second;
+        }
+        if (e->max_curve && e->max_curve->horizon() > horizon) {
+          base = e->max_curve;
+        }
+        return nullptr;
+      });
+  if (cached) {
+    memo.hit(fp);
+    return cached;
   }
 
   // Compute outside the lock: either truncate the wider materialization
   // (bit-identical to a fresh computation -- both are the canonical
-  // staircase of the same horizon-independent function) or explore fresh.
-  CurvePtr result;
-  if (base) {
-    result = intern(base->truncated(horizon));
-    impl_->note_hit();
-  } else {
-    result = intern(compute());
-    impl_->note_miss();
-  }
-  {
-    const StripeLock lock(stripe.m);
-    Impl::TaskEntry& e = stripe.table[fp];
-    const auto [it, inserted] =
-        e.by_horizon.emplace(horizon.count(), result);
+  // staircase of the same horizon-independent function, so it counts as
+  // a hit) or explore fresh.
+  CurvePtr result = base ? intern(base->truncated(horizon)) : compute();
+  memo.note(/*was_hit=*/base != nullptr);
+  memo.locked(fp, [&](Impl::TaskEntry& e) {
+    const auto [it, inserted] = e.by_horizon.emplace(horizon.count(), result);
     if (!inserted) result = it->second;  // a racer filled it; same bits
-    if (!e.max_curve || e.max_curve->horizon() < horizon) {
-      e.max_curve = result;
-    }
-  }
-  impl_->touch_group(fp);
+    e.keep_widest(result);
+  });
+  memo.touch(fp);
   return result;
 }
 
@@ -639,135 +724,60 @@ CurvePtr Workspace::dbf(const DrtTask& task, Time horizon) {
 }
 
 CurvePtr Workspace::sbf(const Supply& supply, Time horizon) {
-  if (!caching_) {
-    impl_->note_miss();
-    return std::make_shared<const Staircase>(supply.sbf(horizon));
-  }
   // Exact-match keying only: sbf curves carry a periodic tail, which
   // truncation would drop, so horizon-extension reuse does not apply.
-  auto key = std::make_pair(supply.describe(), horizon.count());
-  // Eviction group: the supply description alone, so every horizon of
-  // one supply ages (and is dropped) as a unit.
-  const std::uint64_t group = std::hash<std::string>{}(key.first);
-  auto& stripe = impl_->sbfs.of(hash_combine(
-      group, static_cast<std::uint64_t>(key.second)));
-  {
-    const LookupTimer timer;
-    const StripeLock lock(stripe.m);
-    if (const auto it = stripe.table.find(key); it != stripe.table.end()) {
-      impl_->note_hit();
-      impl_->touch_group(group);
-      return it->second;
-    }
-  }
-  CurvePtr result = intern(supply.sbf(horizon));
-  impl_->note_miss();
-  {
-    const StripeLock lock(stripe.m);
-    const auto [it, inserted] = stripe.table.emplace(std::move(key), result);
-    if (!inserted) result = it->second;
-  }
-  impl_->touch_group(group);
-  return result;
+  return impl_->sbfs.get(
+      [&] { return SbfKey{supply.describe(), horizon.count()}; },
+      [&] { return intern(supply.sbf(horizon)); });
 }
 
+template <class Compute>
 CurvePtr Workspace::derived(DerivedOp op, const Staircase& f,
-                            const Staircase* g) {
-  const auto compute = [&]() -> Staircase {
-    switch (op) {
-      case DerivedOp::kAdd:
-        return strt::pointwise_add(f, *g);
-      case DerivedOp::kConv:
-        return strt::minplus_conv(f, *g);
-      case DerivedOp::kLeftover:
-        return strt::leftover_service(f, *g);
-      case DerivedOp::kHull:
-        return strt::concave_hull_staircase(f);
-    }
-    throw std::logic_error("unreachable");
-  };
-  if (!caching_) {
-    impl_->note_miss();
-    return std::make_shared<const Staircase>(compute());
-  }
-  const Impl::DerivedKey key{static_cast<std::uint8_t>(op), fingerprint(f),
-                             g != nullptr ? fingerprint(*g) : 0};
-  auto& stripe = impl_->derived.of(Impl::DerivedKeyHash{}(key));
-  {
-    const LookupTimer timer;
-    const StripeLock lock(stripe.m);
-    if (const auto it = stripe.table.find(key); it != stripe.table.end()) {
-      impl_->note_hit();
-      impl_->touch_group(key.a);
-      return it->second;
-    }
-  }
-  CurvePtr result = intern(compute());
-  impl_->note_miss();
-  {
-    const StripeLock lock(stripe.m);
-    const auto [it, inserted] = stripe.table.emplace(key, result);
-    if (!inserted) result = it->second;
-  }
-  impl_->touch_group(key.a);
-  return result;
+                            const Staircase* g, Compute&& compute) {
+  return impl_->derived.get(
+      [&] {
+        return DerivedKey{static_cast<std::uint8_t>(op), fingerprint(f),
+                          g != nullptr ? fingerprint(*g) : 0};
+      },
+      [&] { return intern(compute()); });
 }
 
 CurvePtr Workspace::pointwise_add(const Staircase& f, const Staircase& g) {
-  return derived(DerivedOp::kAdd, f, &g);
+  return derived(DerivedOp::kAdd, f, &g,
+                 [&] { return strt::pointwise_add(f, g); });
 }
 
 CurvePtr Workspace::minplus_conv(const Staircase& f, const Staircase& g) {
-  return derived(DerivedOp::kConv, f, &g);
+  return derived(DerivedOp::kConv, f, &g,
+                 [&] { return strt::minplus_conv(f, g); });
 }
 
 CurvePtr Workspace::leftover_service(const Staircase& b,
                                      const Staircase& a) {
-  return derived(DerivedOp::kLeftover, b, &a);
+  return derived(DerivedOp::kLeftover, b, &a,
+                 [&] { return strt::leftover_service(b, a); });
 }
 
 CurvePtr Workspace::concave_hull_staircase(const Staircase& f) {
-  return derived(DerivedOp::kHull, f, nullptr);
+  return derived(DerivedOp::kHull, f, nullptr,
+                 [&] { return strt::concave_hull_staircase(f); });
 }
 
 Workspace::CoarseCurvePtr Workspace::coarse(const Staircase& f, Time g,
                                             bool upper) {
-  const auto compute = [&] {
-    return upper ? strt::coarsen_upper(f, g) : strt::coarsen_lower(f, g);
-  };
-  if (!caching_) {
-    impl_->note_miss();
-    CoarseCurve c = compute();
-    return CoarseCurvePtr{
-        std::make_shared<const Staircase>(std::move(c.curve)), c.max_error};
-  }
-  const Impl::CoarseKey key{fingerprint(f), g.count(),
-                            static_cast<std::uint8_t>(upper ? 1 : 0)};
-  auto& stripe = impl_->coarse.of(Impl::CoarseKeyHash{}(key));
-  {
-    const LookupTimer timer;
-    const StripeLock lock(stripe.m);
-    if (const auto it = stripe.table.find(key); it != stripe.table.end()) {
-      impl_->note_hit();
-      impl_->note_coarse_hit();
-      impl_->touch_group(key.fp);
-      return CoarseCurvePtr{it->second.curve, it->second.max_error};
-    }
-  }
-  // Coarsen outside the lock; racers produce the identical canonical
-  // curve and the emplace keeps the first entry.
-  CoarseCurve c = compute();
-  impl_->note_miss();
-  CoarseCurvePtr result{intern(std::move(c.curve)), c.max_error};
-  {
-    const StripeLock lock(stripe.m);
-    const auto [it, inserted] = stripe.table.emplace(
-        key, Impl::CoarseEntry{result.curve, result.max_error});
-    if (!inserted) {
-      result = CoarseCurvePtr{it->second.curve, it->second.max_error};
-    }
-  }
-  impl_->touch_group(key.fp);
+  bool hit = false;
+  CoarseCurvePtr result = impl_->coarse.get(
+      [&] {
+        return CoarseKey{fingerprint(f), g.count(),
+                         static_cast<std::uint8_t>(upper ? 1 : 0)};
+      },
+      [&] {
+        CoarseCurve c =
+            upper ? strt::coarsen_upper(f, g) : strt::coarsen_lower(f, g);
+        return CoarseCurvePtr{intern(std::move(c.curve)), c.max_error};
+      },
+      &hit);
+  if (hit) impl_->coarse_hits.add();
   return result;
 }
 
@@ -782,17 +792,11 @@ Workspace::CoarseCurvePtr Workspace::coarse_lower(const Staircase& f,
 }
 
 Workspace::PseudoInverse Workspace::inverse_of(const Staircase& curve) {
+  // Caching off: no entry, so every lookup computes (and counts nothing).
   if (!caching_) return PseudoInverse(&curve, nullptr, this);
-  const std::uint64_t fp = fingerprint(curve);
-  std::shared_ptr<PseudoInverse::Entry> entry;
-  {
-    auto& stripe = impl_->inverses.of(fp);
-    const StripeLock lock(stripe.m);
-    auto& slot = stripe.table[fp];
-    if (!slot) slot = std::make_shared<PseudoInverse::Entry>();
-    entry = slot;
-  }
-  impl_->touch_group(fp);
+  std::shared_ptr<PseudoInverse::Entry> entry = impl_->inverses.get(
+      [&] { return fingerprint(curve); },
+      [] { return std::make_shared<PseudoInverse::Entry>(); });
   return PseudoInverse(&curve, std::move(entry), this);
 }
 
@@ -802,12 +806,12 @@ Time Workspace::PseudoInverse::operator()(Work w) const {
     const MutexLock lock(entry_->m);
     if (const auto it = entry_->memo.find(w.count());
         it != entry_->memo.end()) {
-      owner_->impl_->note_inverse(true);
+      owner_->impl_->inverse_hits.add();
       return it->second;
     }
   }
   const Time t = curve_->inverse(w);
-  owner_->impl_->note_inverse(false);
+  owner_->impl_->inverse_misses.add();
   const MutexLock lock(entry_->m);
   entry_->memo.emplace(w.count(), t);
   return t;
@@ -840,10 +844,7 @@ bool Workspace::save_snapshot(const std::string& path, std::string* error) {
     if (error != nullptr) *error = "caching is off; nothing to snapshot";
     return false;
   }
-  if (const std::uint64_t b = impl_->budget.load(std::memory_order_relaxed);
-      b != 0) {
-    impl_->evict_to_budget(b);  // the snapshot must itself fit the budget
-  }
+  impl_->maybe_evict();  // the snapshot must itself fit the budget
 
   snapshot::Snapshot snap;
   // Every curve any exported entry references, keyed by fingerprint.
@@ -859,56 +860,41 @@ bool Workspace::save_snapshot(const std::string& path, std::string* error) {
     return fp;
   };
 
-  for (auto& stripe : impl_->interned.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [fp, bucket] : stripe.table) {
-      if (bucket.size() == 1) (void)add_curve(bucket.front());
-    }
-  }
+  impl_->interned.for_each([&](std::uint64_t, const Bucket& bucket) {
+    if (bucket.size() == 1) (void)add_curve(bucket.front());
+  });
   for (const bool demand : {false, true}) {
-    auto& family = demand ? impl_->dbfs : impl_->rbfs;
     auto& out = demand ? snap.dbf : snap.rbf;
-    for (auto& stripe : family.stripes) {
-      const StripeLock lock(stripe.m);
-      for (const auto& [task_fp, entry] : stripe.table) {
-        snapshot::WorkloadRecord rec;
-        rec.task_fp = task_fp;
-        rec.by_horizon.reserve(entry.by_horizon.size());
-        for (const auto& [horizon, curve] : entry.by_horizon) {
-          if (const auto fp = add_curve(curve)) {
-            rec.by_horizon.emplace_back(horizon, *fp);
+    (demand ? impl_->dbfs : impl_->rbfs)
+        .for_each([&](std::uint64_t task_fp, const Impl::TaskEntry& entry) {
+          snapshot::WorkloadRecord rec;
+          rec.task_fp = task_fp;
+          rec.by_horizon.reserve(entry.by_horizon.size());
+          for (const auto& [horizon, curve] : entry.by_horizon) {
+            if (const auto fp = add_curve(curve)) {
+              rec.by_horizon.emplace_back(horizon, *fp);
+            }
           }
-        }
-        if (!rec.by_horizon.empty()) out.push_back(std::move(rec));
-      }
-    }
+          if (!rec.by_horizon.empty()) out.push_back(std::move(rec));
+        });
   }
-  for (auto& stripe : impl_->sbfs.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [key, curve] : stripe.table) {
-      if (const auto fp = add_curve(curve)) {
-        snap.sbf.push_back(snapshot::SupplyRecord{key.first, key.second, *fp});
-      }
+  impl_->sbfs.for_each([&](const SbfKey& key, const CurvePtr& curve) {
+    if (const auto fp = add_curve(curve)) {
+      snap.sbf.push_back(snapshot::SupplyRecord{key.supply, key.horizon, *fp});
     }
-  }
-  for (auto& stripe : impl_->derived.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [key, curve] : stripe.table) {
-      if (const auto fp = add_curve(curve)) {
-        snap.derived.push_back(
-            snapshot::DerivedRecord{key.op, key.a, key.b, *fp});
-      }
+  });
+  impl_->derived.for_each([&](const DerivedKey& key, const CurvePtr& curve) {
+    if (const auto fp = add_curve(curve)) {
+      snap.derived.push_back(
+          snapshot::DerivedRecord{key.op, key.a, key.b, *fp});
     }
-  }
-  for (auto& stripe : impl_->coarse.stripes) {
-    const StripeLock lock(stripe.m);
-    for (const auto& [key, entry] : stripe.table) {
-      if (const auto fp = add_curve(entry.curve)) {
-        snap.coarse.push_back(snapshot::CoarseRecord{
-            key.fp, key.g, key.side, *fp, entry.max_error.count()});
-      }
+  });
+  impl_->coarse.for_each([&](const CoarseKey& key, const CoarseCurvePtr& c) {
+    if (const auto fp = add_curve(c.curve)) {
+      snap.coarse.push_back(snapshot::CoarseRecord{key.fp, key.g, key.side,
+                                                   *fp, c.max_error.count()});
     }
-  }
+  });
 
   snap.curves.reserve(exported.size());
   for (const auto& [fp, curve] : exported) {
@@ -917,32 +903,22 @@ bool Workspace::save_snapshot(const std::string& path, std::string* error) {
   // Deterministic file bytes: hash-map walk order must not leak into
   // the snapshot (two saves of identical warmth produce identical
   // files, which CI diffs rely on).
-  std::sort(snap.curves.begin(), snap.curves.end(),
-            [](const auto& a, const auto& b) { return a.fp < b.fp; });
-  std::sort(snap.rbf.begin(), snap.rbf.end(),
-            [](const auto& a, const auto& b) { return a.task_fp < b.task_fp; });
-  std::sort(snap.dbf.begin(), snap.dbf.end(),
-            [](const auto& a, const auto& b) { return a.task_fp < b.task_fp; });
-  std::sort(snap.sbf.begin(), snap.sbf.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.key, a.horizon) < std::tie(b.key, b.horizon);
-  });
-  std::sort(snap.derived.begin(), snap.derived.end(),
-            [](const auto& a, const auto& b) {
-              return std::tie(a.op, a.a, a.b) < std::tie(b.op, b.a, b.b);
-            });
-  std::sort(snap.coarse.begin(), snap.coarse.end(),
-            [](const auto& a, const auto& b) {
-              return std::tie(a.fp, a.g, a.side) <
-                     std::tie(b.fp, b.g, b.side);
-            });
+  const auto sort_by = [](auto& records, auto key) {
+    std::sort(records.begin(), records.end(),
+              [&key](const auto& a, const auto& b) { return key(a) < key(b); });
+  };
+  sort_by(snap.curves, [](const auto& r) { return r.fp; });
+  sort_by(snap.rbf, [](const auto& r) { return r.task_fp; });
+  sort_by(snap.dbf, [](const auto& r) { return r.task_fp; });
+  sort_by(snap.sbf, [](const auto& r) { return std::tie(r.key, r.horizon); });
+  sort_by(snap.derived, [](const auto& r) { return std::tie(r.op, r.a, r.b); });
+  sort_by(snap.coarse,
+          [](const auto& r) { return std::tie(r.fp, r.g, r.side); });
 
   if (!snapshot::write_file(path, snap, error)) return false;
 
   static obs::Counter& c_save_ns = obs::counter("snapshot.save_ns");
-  c_save_ns.add(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count()));
+  c_save_ns.add(ns_since(t0));
   obs::gauge("snapshot.entries").set(
       static_cast<std::int64_t>(snap.entry_count()));
   return true;
@@ -1036,66 +1012,35 @@ bool Workspace::load_snapshot(const std::string& path, std::string* error) {
 
     // Stage 2 -- apply through the normal first-insert-wins inserts
     // (safe concurrently with serving and with other loaders/savers).
-    std::unordered_map<std::uint64_t, CurvePtr> canon;
-    canon.reserve(staged.size());
-    for (const auto& [fp, curve] : staged) {
-      canon.emplace(fp, intern(Staircase(*curve)));
-    }
+    for (auto& [fp, curve] : staged) curve = intern(Staircase(*curve));
     for (const bool demand : {false, true}) {
-      auto& family = demand ? impl_->dbfs : impl_->rbfs;
-      const auto& recs = demand ? snap.dbf : snap.rbf;
-      for (const snapshot::WorkloadRecord& rec : recs) {
-        {
-          auto& stripe = family.of(rec.task_fp);
-          const StripeLock lock(stripe.m);
-          Impl::TaskEntry& e = stripe.table[rec.task_fp];
+      auto& memo = demand ? impl_->dbfs : impl_->rbfs;
+      for (const snapshot::WorkloadRecord& rec : demand ? snap.dbf : snap.rbf) {
+        memo.locked(rec.task_fp, [&](Impl::TaskEntry& e) {
           for (const auto& [horizon, fp] : rec.by_horizon) {
-            e.by_horizon.emplace(horizon, canon.at(fp));
+            e.by_horizon.emplace(horizon, staged.at(fp));
           }
-          const CurvePtr& widest = e.by_horizon.rbegin()->second;
-          if (!e.max_curve || e.max_curve->horizon() < widest->horizon()) {
-            e.max_curve = widest;
-          }
-        }
-        impl_->touch_group(rec.task_fp);
+          e.keep_widest(e.by_horizon.rbegin()->second);
+        });
+        memo.touch(rec.task_fp);
       }
     }
     for (const snapshot::SupplyRecord& rec : snap.sbf) {
-      const std::uint64_t group = std::hash<std::string>{}(rec.key);
-      {
-        auto key = std::make_pair(rec.key, rec.horizon);
-        auto& stripe = impl_->sbfs.of(hash_combine(
-            group, static_cast<std::uint64_t>(key.second)));
-        const StripeLock lock(stripe.m);
-        stripe.table.emplace(std::move(key), canon.at(rec.curve_fp));
-      }
-      impl_->touch_group(group);
+      (void)impl_->sbfs.insert(SbfKey{rec.key, rec.horizon},
+                               staged.at(rec.curve_fp));
     }
     for (const snapshot::DerivedRecord& rec : snap.derived) {
-      {
-        const Impl::DerivedKey key{rec.op, rec.a, rec.b};
-        auto& stripe = impl_->derived.of(Impl::DerivedKeyHash{}(key));
-        const StripeLock lock(stripe.m);
-        stripe.table.emplace(key, canon.at(rec.curve_fp));
-      }
-      impl_->touch_group(rec.a);
+      (void)impl_->derived.insert(DerivedKey{rec.op, rec.a, rec.b},
+                                  staged.at(rec.curve_fp));
     }
     for (const snapshot::CoarseRecord& rec : snap.coarse) {
-      {
-        const Impl::CoarseKey key{rec.fp, rec.g, rec.side};
-        auto& stripe = impl_->coarse.of(Impl::CoarseKeyHash{}(key));
-        const StripeLock lock(stripe.m);
-        stripe.table.emplace(key, Impl::CoarseEntry{canon.at(rec.curve_fp),
-                                                    Work(rec.max_error)});
-      }
-      impl_->touch_group(rec.fp);
+      (void)impl_->coarse.insert(
+          CoarseKey{rec.fp, rec.g, rec.side},
+          CoarseCurvePtr{staged.at(rec.curve_fp), Work(rec.max_error)});
     }
 
     static obs::Counter& c_load_ns = obs::counter("snapshot.load_ns");
-    c_load_ns.add(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
+    c_load_ns.add(ns_since(t0));
     obs::gauge("snapshot.entries").set(
         static_cast<std::int64_t>(snap.entry_count()));
     return true;
@@ -1108,14 +1053,14 @@ bool Workspace::load_snapshot(const std::string& path, std::string* error) {
 
 WorkspaceStats Workspace::stats() const {
   WorkspaceStats s;
-  s.hits = impl_->hits.load(std::memory_order_relaxed);
-  s.misses = impl_->misses.load(std::memory_order_relaxed);
-  s.bytes = impl_->bytes.load(std::memory_order_relaxed);
-  s.inverse_hits = impl_->inverse_hits.load(std::memory_order_relaxed);
-  s.inverse_misses = impl_->inverse_misses.load(std::memory_order_relaxed);
-  s.coarse_hits = impl_->coarse_hits.load(std::memory_order_relaxed);
-  s.evictions = impl_->evictions.load(std::memory_order_relaxed);
-  s.evicted_bytes = impl_->evicted_bytes.load(std::memory_order_relaxed);
+  s.hits = impl_->hits.load();
+  s.misses = impl_->misses.load();
+  s.bytes = impl_->bytes.load();
+  s.inverse_hits = impl_->inverse_hits.load();
+  s.inverse_misses = impl_->inverse_misses.load();
+  s.coarse_hits = impl_->coarse_hits.load();
+  s.evictions = impl_->evictions.load();
+  s.evicted_bytes = impl_->evicted_bytes.load();
   return s;
 }
 

@@ -6,73 +6,64 @@
 // min-plus convolutions, and pseudo-inverse lookups on service curves.
 // Sweeping callers (sensitivity probing, Audsley priority search, the
 // joint-FP candidate loop, bench trial sweeps) recompute those artifacts
-// with identical arguments over and over.
+// with identical arguments over and over.  A Workspace caches them.
 //
-// A Workspace is the cache that makes curves first-class reusable
-// artifacts:
+// Hash-consing: every curve the workspace produces is interned by a
+// 64-bit content fingerprint (full equality confirmed on fingerprint
+// match), so identical curves share one allocation and memo keys are
+// fingerprints.
 //
-//   * Hash-consing: every curve the workspace produces is interned by a
-//     64-bit content fingerprint (full equality confirmed on fingerprint
-//     match), so identical curves share one allocation and cache keys can
-//     be compared cheaply.
-//   * Workload curves rbf/dbf are memoized per task fingerprint
-//     (graph/drt computes it at build time) with *horizon-extension
-//     reuse*: a cached curve materialized to H' >= H answers the H query
-//     by truncation.  Both rbf and dbf are exact canonical staircases of
-//     a horizon-independent function, so the truncated answer is
-//     bit-identical to a fresh computation (enforced by
-//     tests/test_engine_equivalence.cpp).
-//   * Supply curves, pointwise sums, leftover service, concave hulls, and
-//     min-plus convolutions are memoized by operand fingerprints (exact
-//     match).
-//   * Pseudo-inverse lookups -- the hot loop of the structural analysis
-//     -- are memoized per (curve, value) via inverse_of().
+// Memo families -- intern, validate, rbf, dbf, sbf, derived (sums,
+// min-plus convolutions, leftover service, hulls), coarsen and
+// inverse_of -- are instances of one striped Memo (workspace.cpp).  A
+// family supplies its key, its value and the eviction group of a key;
+// the Memo does the rest, once for all of them:
 //
-// Concurrency: a Workspace is safe to share across strt::exec parallel
-// regions and across svc::Service shard workers.  Every memo-table
-// family is striped: 16 (mutex, table) pairs selected by the key's
-// fingerprint hash, so lookups about different systems almost never
-// share a lock.  A probe takes only its stripe's mutex; computations run
-// outside the locks, so two threads may race to fill the same slot --
-// both compute the identical canonical artifact and the intern table
-// collapses the results (first insert wins), keeping cache-on results
-// bit-identical to cache-off, to STRT_THREADS=1 runs, and to any shard
-// count.  Stripe acquisition time is recorded in the cache.lock_wait_ns
-// histogram, so residual contention is measurable.
+//   * 16 (mutex, table) stripes picked by the key's hash, so lookups
+//     about different systems almost never share a lock;
+//   * the timed probe under the stripe lock (cache.lookup_ns, with the
+//     acquisition wait in cache.lock_wait_ns), the computation outside
+//     it, and a first-insert-wins insert: racers filling the same slot
+//     compute the identical canonical artifact, so results stay
+//     bit-identical to cache-off, to STRT_THREADS=1 and to any shard
+//     count;
+//   * the cache-off pass-through, hit/miss counting and LRU touches;
+//   * the stripe-by-stripe walks behind eviction, the budget backfill and
+//     save_snapshot, and the insert load_snapshot replays through.
+//
+// Only what really differs stays per family: rbf/dbf horizon-extension
+// reuse (a cached curve materialized to H' >= H answers the H query by
+// truncation, bit-identical to a fresh computation -- enforced by
+// tests/test_engine_equivalence.cpp), the bucketed intern table with its
+// byte accounting, and the per-curve pseudo-inverse entry.  No two stripe
+// locks are ever held at once, and the eviction registry lock is never
+// held while a stripe lock is taken.
 //
 // Switching off: Workspace(false) -- or the environment variable
 // STRT_CACHE=0 for workspaces built with the default constructor -- turns
-// every method into a pass-through that computes fresh (counted as
-// misses).  Results are bit-identical either way.
+// every method into a pass-through that computes fresh (curve queries
+// count as misses).  Results are bit-identical either way.
 //
-// Persistence: save_snapshot() serializes the curve-bearing memo
-// families (interned curves, rbf/dbf with full horizon metadata, sbf,
-// derived ops, coarse curves) into the versioned on-disk format
-// strt.engine.snapshot.v1 (src/snapshot/), written crash-safe via
-// tmp+rename; load_snapshot() validates and replays a snapshot into the
-// striped tables through the normal first-insert-wins inserts, so a
-// restarted server answers a known corpus at warm speed from request
-// one.  A malformed or corrupted snapshot is rejected whole (the
-// snapshot.rejected counter) and the workspace cold-starts clean --
-// loading never throws and never partially applies.  Because every
-// entry is revalidated (record-level canonical form plus a recomputed
-// content fingerprint per curve), warm-from-disk results stay
-// bit-identical to cold computation.
+// Persistence: save_snapshot() writes the curve-bearing families to the
+// versioned on-disk format strt.engine.snapshot.v1 (src/snapshot/),
+// crash-safe via tmp+rename.  load_snapshot() revalidates every record
+// (canonical form plus a recomputed fingerprint per curve) before it
+// applies any, so a malformed file is rejected whole (snapshot.rejected)
+// and warm-from-disk results stay bit-identical to cold computation.
 //
 // Eviction: set_cache_bytes_budget() bounds the interned-curve bytes.
-// When the budget is exceeded (online after an insert, and again at
-// save time), whole per-fingerprint entry groups -- a task's rbf/dbf
-// horizons, a supply's sbf materializations, one operand's derived
-// entries -- are dropped oldest-touch first (LRU).  Groups touched
-// since the oldest live pin_batch() started are never evicted, so a
-// batch leader's freshly warmed memos survive until its group is done.
+// Past the budget, whole groups -- a task's, a curve's or a supply's
+// entries across all families -- are dropped least-recently-touched
+// first.  Groups touched since the oldest live pin_batch() started are
+// never evicted.
 //
 // Observability: cache.hits / cache.misses / cache.bytes /
-// cache.evictions / cache.evicted_bytes (plus cache.inverse_hits /
-// cache.inverse_misses) are bumped on the global obs registry, so run
-// reports and BENCH_*.json pick them up; stats() returns the same
-// numbers per workspace.  Snapshot I/O reports snapshot.load_ns /
-// snapshot.save_ns / snapshot.entries / snapshot.rejected.
+// cache.evictions / cache.evicted_bytes / cache.inverse_hits /
+// cache.inverse_misses / cache.coarse_hits, and per family
+// cache.<family>.hits / cache.<family>.misses, are bumped on the global
+// obs registry; stats() returns the aggregate numbers per workspace.
+// Snapshot I/O reports snapshot.load_ns / snapshot.save_ns /
+// snapshot.entries / snapshot.rejected.
 #pragma once
 
 #include <cstdint>
@@ -246,8 +237,9 @@ class Workspace {
 
  private:
   enum class DerivedOp : std::uint8_t;
+  template <class Compute>
   [[nodiscard]] CurvePtr derived(DerivedOp op, const Staircase& f,
-                                 const Staircase* g);
+                                 const Staircase* g, Compute&& compute);
   [[nodiscard]] CoarseCurvePtr coarse(const Staircase& f, Time g, bool upper);
   [[nodiscard]] CurvePtr workload_curve(const DrtTask& task, Time horizon,
                                         bool demand);

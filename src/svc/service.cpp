@@ -375,20 +375,16 @@ void Service::Impl::process(Shard& s, std::vector<Pending> round) {
   // Group the round by fingerprint, preserving arrival order of groups
   // and of members within a group.
   std::vector<std::vector<std::size_t>> groups;
-  if (opts.batch_by_fingerprint) {
-    for (std::size_t i = 0; i < round.size(); ++i) {
-      bool placed = false;
-      for (std::vector<std::size_t>& g : groups) {
-        if (round[g.front()].fp == round[i].fp) {
-          g.push_back(i);
-          placed = true;
-          break;
-        }
+  for (std::size_t i = 0; i < round.size(); ++i) {
+    bool placed = false;
+    for (std::vector<std::size_t>& g : groups) {
+      if (round[g.front()].fp == round[i].fp) {
+        g.push_back(i);
+        placed = true;
+        break;
       }
-      if (!placed) groups.push_back({i});
     }
-  } else {
-    for (std::size_t i = 0; i < round.size(); ++i) groups.push_back({i});
+    if (!placed) groups.push_back({i});
   }
 
   static obs::Histogram& h_batch = obs::histogram("svc.batch_size");
@@ -396,7 +392,7 @@ void Service::Impl::process(Shard& s, std::vector<Pending> round) {
   // With one shard the warm tail fans out across the exec pool; with
   // several, the shards are the parallelism -- concurrent pool runs
   // would serialize on the pool's run lock and only add contention.
-  const bool parallel_tail = opts.parallel_batches && nshards == 1;
+  const bool parallel_tail = nshards == 1;
 
   for (const std::vector<std::size_t>& group : groups) {
     // While this pin lives, memo groups the leader warms for the batch

@@ -85,14 +85,6 @@ struct ServiceOptions {
   /// shard per core serving distinct systems; more shards than distinct
   /// request fingerprints leaves the excess idle.
   std::size_t shards = 0;
-  /// Group a round by request_fingerprint() before running.  Off =>
-  /// strict arrival order, one batch per request (ablation switch;
-  /// results are identical either way).
-  bool batch_by_fingerprint = true;
-  /// Fan a group's cache-warm tail across the exec pool.  Only effective
-  /// with one shard: multi-shard services always run tails on the shard
-  /// worker (ablation switch; results are identical either way).
-  bool parallel_batches = true;
   /// Workspace memoization (the warm-cache amortization this service
   /// exists for; off is the cold ablation).
   bool caching = true;

@@ -459,7 +459,6 @@ svc::ServiceOptions shard_opts(std::size_t shards) {
   o.shards = shards;
   o.queue_capacity = 2 * shards;  // per-shard ring capacity 2
   o.max_batch = 1;
-  o.parallel_batches = false;
   return o;
 }
 

@@ -13,10 +13,13 @@
 //     bit-identical with the snapshot off, on, and rejected, both via a
 //     bare Workspace and via a restarted svc::Service reusing one
 //     snapshot file.
+//   * Wire format pinned across builds: tests/data/snapshot_v1_parent.snap
+//     was saved by an earlier build from fixture_requests(); this build
+//     must reload and re-save it, and recompute it cold, byte for byte.
 //   * Eviction: a bytes budget is enforced (stats().bytes ends within
-//     budget, cache.evictions counts), evicted entries recompute to the
-//     same answers, and groups touched under a live pin_batch() are
-//     never evicted out from under a batch leader.
+//     budget, cache.evictions counts), evicted entries of every memo
+//     family recompute to the same answers, and groups touched under a
+//     live pin_batch() are never evicted out from under a batch leader.
 //   * Concurrency: save/load racing live queries on a shared workspace
 //     is data-race-free (the TSan CI leg runs this suite).
 #include <gtest/gtest.h>
@@ -26,6 +29,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,6 +71,39 @@ svc::AnalysisRequest request_of_kind(svc::AnalysisKind kind,
                       kind == svc::AnalysisKind::kSensitivity;
   req.tasks = random_set(seed, single ? 1 : 3, single ? 0.3 : 0.6);
   return req;
+}
+
+/// One request of every kind plus a certified (coarse-first) structural
+/// request: together they warm every memo family.
+std::vector<svc::AnalysisRequest> every_family_requests(std::uint64_t seed) {
+  std::vector<svc::AnalysisRequest> reqs;
+  std::uint64_t id = 1;
+  for (const svc::AnalysisKind kind : svc::kAllAnalysisKinds) {
+    reqs.push_back(request_of_kind(kind, id, seed + id));
+    ++id;
+  }
+  svc::AnalysisRequest certified =
+      request_of_kind(svc::AnalysisKind::kStructural, id, seed + id);
+  certified.common.coarsen_g = Time(4);
+  reqs.push_back(std::move(certified));
+  return reqs;
+}
+
+/// The requests tests/data/snapshot_v1_parent.snap was saved from:
+/// structural (validation, rbf, sbf, inverses), FP (sums, leftover
+/// service), EDF (dbf) and one certified structural request (coarse
+/// curves), so every snapshot section is non-empty.  Changing this list
+/// invalidates the fixture.
+std::vector<svc::AnalysisRequest> fixture_requests() {
+  std::vector<svc::AnalysisRequest> reqs;
+  reqs.push_back(request_of_kind(svc::AnalysisKind::kStructural, 1, 700));
+  reqs.push_back(request_of_kind(svc::AnalysisKind::kFp, 2, 701));
+  reqs.push_back(request_of_kind(svc::AnalysisKind::kEdf, 3, 702));
+  svc::AnalysisRequest certified =
+      request_of_kind(svc::AnalysisKind::kStructural, 4, 703);
+  certified.common.coarsen_g = Time(4);
+  reqs.push_back(std::move(certified));
+  return reqs;
 }
 
 /// Field-by-field equality of two outcomes (the result variant included);
@@ -404,15 +441,48 @@ TEST(SnapshotWarmStart, ServiceRestartServesWarmBitIdentical) {
   EXPECT_GT(restarted.workspace().stats().hits, loaded.hits);
 }
 
+TEST(SnapshotWireFormat, PinnedFileReloadsAndRecomputesByteIdentical) {
+  const std::string fixture =
+      std::string(STRT_TEST_DATA_DIR) + "/snapshot_v1_parent.snap";
+  const std::string want = slurp_file(fixture);
+  const snapshot::DecodeResult decoded = snapshot::decode(want);
+  ASSERT_TRUE(decoded.ok) << decoded.error;
+  EXPECT_FALSE(decoded.snap.curves.empty());
+  EXPECT_FALSE(decoded.snap.rbf.empty());
+  EXPECT_FALSE(decoded.snap.dbf.empty());
+  EXPECT_FALSE(decoded.snap.sbf.empty());
+  EXPECT_FALSE(decoded.snap.derived.empty());
+  EXPECT_FALSE(decoded.snap.coarse.empty());
+
+  // Load and re-save: every record survives the trip through the tables.
+  std::string error;
+  engine::Workspace loaded(true);
+  ASSERT_TRUE(loaded.load_snapshot(fixture, &error)) << error;
+  const ScratchFile resaved("fixture_resaved");
+  ASSERT_TRUE(loaded.save_snapshot(resaved.path, &error)) << error;
+  EXPECT_EQ(slurp_file(resaved.path), want);
+
+  // The same requests run cold here save the same bytes.
+  engine::Workspace cold(true);
+  for (const svc::AnalysisRequest& req : fixture_requests()) {
+    const svc::AnalysisOutcome out = svc::run_request(cold, req);
+    ASSERT_EQ(out.status, svc::OutcomeStatus::kOk) << out.error;
+  }
+  const ScratchFile recomputed("fixture_recomputed");
+  ASSERT_TRUE(cold.save_snapshot(recomputed.path, &error)) << error;
+  EXPECT_EQ(slurp_file(recomputed.path), want);
+}
+
 TEST(Eviction, BudgetIsEnforcedAndAnswersAreUnchanged) {
+  obs::set_enabled(true);
+  const std::vector<svc::AnalysisRequest> reqs = every_family_requests(400);
+
   // Unbudgeted baseline: how many bytes does this workload intern, and
   // what does it answer?
   engine::Workspace baseline;
   std::vector<svc::AnalysisOutcome> want;
-  for (std::uint64_t s = 0; s < 6; ++s) {
-    want.push_back(svc::run_request(
-        baseline,
-        request_of_kind(svc::AnalysisKind::kStructural, s + 1, 400 + s)));
+  for (const svc::AnalysisRequest& req : reqs) {
+    want.push_back(svc::run_request(baseline, req));
   }
   const std::uint64_t full_bytes = baseline.stats().bytes;
   ASSERT_GT(full_bytes, 0u);
@@ -421,16 +491,32 @@ TEST(Eviction, BudgetIsEnforcedAndAnswersAreUnchanged) {
   // way; every outcome stays bit-identical (evicted = recompute).
   engine::Workspace tight(true, full_bytes / 2);
   EXPECT_EQ(tight.cache_bytes_budget(), full_bytes / 2);
-  for (std::uint64_t s = 0; s < 6; ++s) {
-    expect_same_outcome(
-        want[s],
-        svc::run_request(tight, request_of_kind(svc::AnalysisKind::kStructural,
-                                                s + 1, 400 + s)));
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    expect_same_outcome(want[i], svc::run_request(tight, reqs[i]));
   }
   const engine::WorkspaceStats stats = tight.stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.evicted_bytes, 0u);
   EXPECT_LE(stats.bytes, full_bytes / 2);
+
+  // Evict everything evictable, then query again: every family the
+  // requests warmed misses again and recomputes the same answers.
+  const char* const families[] = {"intern", "validate", "rbf",
+                                  "dbf",    "sbf",      "derived",
+                                  "coarsen", "inverse_of"};
+  const auto misses = [](const std::string& family) {
+    return obs::counter("cache." + family + ".misses").value();
+  };
+  std::map<std::string, std::uint64_t> before;
+  for (const char* family : families) before[family] = misses(family);
+  tight.set_cache_bytes_budget(1);
+  EXPECT_EQ(tight.stats().bytes, 0u);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    expect_same_outcome(want[i], svc::run_request(tight, reqs[i]));
+  }
+  for (const char* family : families) {
+    EXPECT_GT(misses(family), before[family]) << family;
+  }
 }
 
 TEST(Eviction, PinnedBatchGroupsSurvive) {
