@@ -16,7 +16,7 @@
 // pool size (0 = hardware default).
 //
 // `--snapshot PATH` warm-starts the workspace from a persistent snapshot
-// (strt.engine.snapshot.v1; missing or rejected files cold-start clean)
+// (strt.engine.snapshot.v2; missing or rejected files cold-start clean)
 // and saves the warmed state back before exiting; `--cache-budget BYTES`
 // bounds the interned-curve storage ("64M"-style suffixes).  Both
 // default to the STRT_SNAPSHOT / STRT_CACHE_BUDGET environment
@@ -291,8 +291,6 @@ int main(int argc, char** argv) {
   report.put("cache.hits", static_cast<std::int64_t>(cache.hits));
   report.put("cache.misses", static_cast<std::int64_t>(cache.misses));
   report.put("cache.bytes", static_cast<std::int64_t>(cache.bytes));
-  report.put("cache.coarse_hits",
-             static_cast<std::int64_t>(cache.coarse_hits));
   if (!snapshot_path.empty()) {
     std::string save_error;
     if (!ws.save_snapshot(snapshot_path, &save_error)) {

@@ -6,6 +6,7 @@
 #include "base/checked.hpp"
 #include "core/busy_window.hpp"
 #include "core/curve_based.hpp"
+#include "curves/coarsen.hpp"
 #include "curves/minplus.hpp"
 #include "engine/workspace.hpp"
 #include "obs/counters.hpp"
@@ -22,21 +23,20 @@ struct CoarseRound {
   Work backlog = Work::unbounded();
 };
 
-CoarseRound coarse_round(engine::Workspace& ws, const Staircase& rbf_l,
-                         const BusyWindow& bw, Time g) {
-  using CoarsePtr = engine::Workspace::CoarseCurvePtr;
+CoarseRound coarse_round(const Staircase& rbf_l, const BusyWindow& bw,
+                         Time g) {
   const Time L = bw.length;
-  const CoarsePtr up_r = ws.coarse_upper(rbf_l, g);
-  const CoarsePtr lo_r = ws.coarse_lower(rbf_l, g);
-  const CoarsePtr up_s = ws.coarse_upper(bw.sbf, g);
-  CoarsePtr lo_s = ws.coarse_lower(bw.sbf, g);
+  const CoarseCurve up_r = coarsen_upper(rbf_l, g);
+  const CoarseCurve lo_r = coarsen_lower(rbf_l, g);
+  const CoarseCurve up_s = coarsen_upper(bw.sbf, g);
+  CoarseCurve lo_s = coarsen_lower(bw.sbf, g);
 
   CoarseRound round;
   // The lower bound is always in-domain: lo_r's values never exceed
   // rbf(L) <= sbf(L) <= up_s(L), so hdev stays inside up_s's horizon.
-  round.d_lo = hdev(*lo_r.curve, *up_s.curve);
+  round.d_lo = hdev(lo_r.curve, up_s.curve);
   // So is the backlog bound: vdev only probes times <= L.
-  round.backlog = vdev(*up_r.curve, *lo_s.curve, L);
+  round.backlog = vdev(up_r.curve, lo_s.curve, L);
 
   // The upper bound queries values up to V = up_r(L) >= rbf(L), which
   // can overshoot the tail-less lo_s's horizon value.  Re-materialize
@@ -44,18 +44,18 @@ CoarseRound coarse_round(engine::Workspace& ws, const Staircase& rbf_l,
   // past sbf^{-1}(V) and re-coarsen; if the exact supply provably never
   // reaches V, the bracket top is unbounded at this granularity and the
   // caller refines.
-  const Work v_top = up_r.curve->value_at_horizon();
-  if (lo_s.curve->value_at_horizon() < v_top) {
+  const Work v_top = up_r.curve.value_at_horizon();
+  if (lo_s.curve.value_at_horizon() < v_top) {
     const Time x = bw.sbf.inverse(v_top);
     if (x.is_unbounded()) return round;  // d_hi stays unbounded
     const std::int64_t grid = checked::mul(
         checked::ceil_div(x.count(), g.count()), g.count());
     const Time h2 = max(Time(grid), L);
-    lo_s = ws.coarse_lower(*ws.intern(bw.sbf.extended(h2)), g);
-    STRT_ASSERT(lo_s.curve->value_at_horizon() >= v_top,
+    lo_s = coarsen_lower(bw.sbf.extended(h2), g);
+    STRT_ASSERT(lo_s.curve.value_at_horizon() >= v_top,
                 "coarse supply extension must cover the queried values");
   }
-  round.d_hi = hdev(*up_r.curve, *lo_s.curve);
+  round.d_hi = hdev(up_r.curve, lo_s.curve);
   return round;
 }
 
@@ -106,7 +106,7 @@ CertifiedDelayResult certified_curve_delay(engine::Workspace& ws,
       return res;
     }
 
-    const CoarseRound cr = coarse_round(ws, rbf_l, *bw, g);
+    const CoarseRound cr = coarse_round(rbf_l, *bw, g);
     res.delay = cr.d_hi;
     res.delay_lower = cr.d_lo;
     res.certified_error = cr.d_hi - cr.d_lo;  // sticky: stays unbounded

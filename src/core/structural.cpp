@@ -11,9 +11,8 @@ namespace strt {
 
 namespace {
 
-StructuralResult analyze(engine::Workspace& ws, const DrtTask& task,
-                         const Staircase& service, Time window,
-                         const StructuralOptions& opts) {
+StructuralResult analyze(const DrtTask& task, const Staircase& service,
+                         Time window, const StructuralOptions& opts) {
   const obs::Span span("structural");
   static obs::Counter& c_runs = obs::counter("structural.runs");
   c_runs.add(1);
@@ -28,14 +27,13 @@ StructuralResult analyze(engine::Workspace& ws, const DrtTask& task,
                            .on_progress = opts.on_progress});
   res.stats = ex.stats;
 
-  const engine::Workspace::PseudoInverse inverse = ws.inverse_of(service);
   std::int32_t best = -1;
   res.vertex_delays.assign(task.vertex_count(), Time(0));
   {
     const obs::Span fold_span("inverse_sbf");
     for (std::int32_t idx : ex.frontier) {
       const PathState& s = ex.arena[static_cast<std::size_t>(idx)];
-      const Time finish = inverse(s.work);
+      const Time finish = service.inverse(s.work);
       STRT_ASSERT(!finish.is_unbounded(),
                   "service never delivers busy-window work");
       const Time d = finish > s.elapsed ? finish - s.elapsed : Time(0);
@@ -64,7 +62,7 @@ StructuralResult analyze(engine::Workspace& ws, const DrtTask& task,
     // The frontier state with the worst delay bounds the delay of its
     // *last* job; replay the path to report per-job numbers.
     for (const PathState& s : ex.path_to(best)) {
-      const Time finish = inverse(s.work);
+      const Time finish = service.inverse(s.work);
       WitnessJob job;
       job.vertex = task.vertex(s.vertex).name;
       job.release = s.elapsed;
@@ -94,7 +92,7 @@ StructuralResult structural_delay(engine::Workspace& ws,
     overload.busy_window = Time::unbounded();
     return overload;
   }
-  return analyze(ws, task, bw->sbf, bw->length, opts);
+  return analyze(task, bw->sbf, bw->length, opts);
 }
 
 StructuralResult structural_delay_vs(engine::Workspace& ws,
@@ -103,7 +101,7 @@ StructuralResult structural_delay_vs(engine::Workspace& ws,
                                      const StructuralOptions& opts) {
   const engine::CurvePtr wl = ws.rbf(task, service.horizon());
   const Time window = busy_window_of_curves(*wl, service);
-  return analyze(ws, task, service, window, opts);
+  return analyze(task, service, window, opts);
 }
 
 }  // namespace strt

@@ -22,7 +22,6 @@
 #include "base/config.hpp"
 #include "base/mutex.hpp"
 #include "check/check.hpp"
-#include "curves/coarsen.hpp"
 #include "curves/hull.hpp"
 #include "curves/minplus.hpp"
 #include "engine/fingerprint.hpp"
@@ -130,16 +129,13 @@ class Count {
 constexpr char kHits[] = "cache.hits";
 constexpr char kMisses[] = "cache.misses";
 constexpr char kBytes[] = "cache.bytes";
-constexpr char kInverseHits[] = "cache.inverse_hits";
-constexpr char kInverseMisses[] = "cache.inverse_misses";
-constexpr char kCoarseHits[] = "cache.coarse_hits";
 constexpr char kEvictions[] = "cache.evictions";
 constexpr char kEvictedBytes[] = "cache.evicted_bytes";
 
 /// Which of the aggregate tallies -- WorkspaceStats::hits / misses and the
 /// cache.hits / cache.misses counters -- a family's lookups feed.
 enum class Tally : std::uint8_t {
-  kNone,    // interned buckets, inverse entries: family counters only
+  kNone,    // interned buckets: family counters only
   kCached,  // lint results: lookups made with caching on
   kAll,     // curve queries: cache-off recomputes count as misses too
 };
@@ -151,16 +147,13 @@ enum Family : std::size_t {
   kDbf,
   kSbf,
   kDerived,
-  kCoarse,
-  kInverse,
   kFamilyCount,
 };
 
 /// What tells one memo family from another at run time: the name of its
-/// cache.<name>.hits / .misses counters (chosen so no exported metric name
-/// collides with the aggregate cache.coarse_hits / cache.inverse_hits),
-/// the aggregate tallies it feeds, and the source line lockdep names its
-/// stripe acquisitions by (one line per family).
+/// cache.<name>.hits / .misses counters, the aggregate tallies it feeds,
+/// and the source line lockdep names its stripe acquisitions by (one line
+/// per family).
 struct FamilySpec {
   const char* name;
   Tally tally;
@@ -174,8 +167,6 @@ inline constexpr std::array<FamilySpec, kFamilyCount> kFamilies{{
     {"dbf", Tally::kAll, std::source_location::current()},
     {"sbf", Tally::kAll, std::source_location::current()},
     {"derived", Tally::kAll, std::source_location::current()},
-    {"coarsen", Tally::kAll, std::source_location::current()},
-    {"inverse_of", Tally::kNone, std::source_location::current()},
 }};
 
 struct FamilyCounters {
@@ -198,9 +189,9 @@ const FamilyCounters& family_counters(Family family) {
 
 /// Memo keys.  Each names its eviction group: a task fingerprint
 /// (validation, rbf/dbf horizons), a curve fingerprint (interned storage,
-/// derived ops on it, coarse curves, inverses), or a supply-description
-/// hash (its sbf materializations), so one LRU decision drops a coherent
-/// unit of warmth.  The key hash also selects the stripe.
+/// derived ops on it), or a supply-description hash (its sbf
+/// materializations), so one LRU decision drops a coherent unit of
+/// warmth.  The key hash also selects the stripe.
 std::uint64_t group_of(std::uint64_t fp) { return fp; }
 template <class Key>
 std::uint64_t group_of(const Key& k) {
@@ -233,17 +224,6 @@ struct DerivedKey {
   std::uint64_t hash() const { return hash_combine(hash_combine(a, b), op); }
 };
 
-struct CoarseKey {
-  std::uint64_t fp;
-  std::int64_t g;
-  std::uint8_t side;  // 0 = lower, 1 = upper
-  bool operator==(const CoarseKey&) const = default;
-  std::uint64_t group() const { return fp; }
-  std::uint64_t hash() const {
-    return hash_combine(hash_combine(fp, static_cast<std::uint64_t>(g)), side);
-  }
-};
-
 /// Interned curves sharing one content fingerprint (more than one only on
 /// a 64-bit collision).  Only interned storage carries bytes: every other
 /// family's values point into it.
@@ -273,11 +253,6 @@ enum class Workspace::DerivedOp : std::uint8_t {
   kConv,
   kLeftover,
   kHull,
-};
-
-struct Workspace::PseudoInverse::Entry {
-  Mutex m;
-  std::unordered_map<std::int64_t, Time> memo STRT_GUARDED_BY(m);
 };
 
 struct Workspace::Impl {
@@ -317,9 +292,9 @@ struct Workspace::Impl {
 
     /// The cached value for key_of(), else compute()'s result inserted
     /// first-insert-wins.  With caching off, a counted pass-through that
-    /// never builds the key.  *hit_out (when given) reports a cache hit.
+    /// never builds the key.
     template <class KeyFn, class Compute>
-    Value get(KeyFn&& key_of, Compute&& compute, bool* hit_out = nullptr) {
+    Value get(KeyFn&& key_of, Compute&& compute) {
       if (!ws_.caching) return fresh(compute);
       const Key key = key_of();
       std::optional<Value> cached = probe(key, [](const Value* v) {
@@ -327,7 +302,6 @@ struct Workspace::Impl {
       });
       if (cached) {
         hit(key);
-        if (hit_out != nullptr) *hit_out = true;
         return *std::move(cached);
       }
       Value value = compute();
@@ -460,24 +434,17 @@ struct Workspace::Impl {
   Memo<std::uint64_t, TaskEntry> dbfs{*this, kDbf};
   Memo<SbfKey, CurvePtr> sbfs{*this, kSbf};
   Memo<DerivedKey, CurvePtr> derived{*this, kDerived};
-  Memo<CoarseKey, CoarseCurvePtr> coarse{*this, kCoarse};
-  Memo<std::uint64_t, std::shared_ptr<PseudoInverse::Entry>> inverses{
-      *this, kInverse};
 
   /// Applies f to every family (eviction sweep, budget backfill).
   template <class F>
   void for_each_memo(F&& f) {
     std::apply([&f](auto&... memo) { (f(memo), ...); },
-               std::tie(interned, validations, rbfs, dbfs, sbfs, derived,
-                        coarse, inverses));
+               std::tie(interned, validations, rbfs, dbfs, sbfs, derived));
   }
 
   Count<kHits> hits;
   Count<kMisses> misses;
   Count<kBytes> bytes;
-  Count<kInverseHits> inverse_hits;
-  Count<kInverseMisses> inverse_misses;
-  Count<kCoarseHits> coarse_hits;
   Count<kEvictions> evictions;
   Count<kEvictedBytes> evicted_bytes;
 
@@ -763,60 +730,6 @@ CurvePtr Workspace::concave_hull_staircase(const Staircase& f) {
                  [&] { return strt::concave_hull_staircase(f); });
 }
 
-Workspace::CoarseCurvePtr Workspace::coarse(const Staircase& f, Time g,
-                                            bool upper) {
-  bool hit = false;
-  CoarseCurvePtr result = impl_->coarse.get(
-      [&] {
-        return CoarseKey{fingerprint(f), g.count(),
-                         static_cast<std::uint8_t>(upper ? 1 : 0)};
-      },
-      [&] {
-        CoarseCurve c =
-            upper ? strt::coarsen_upper(f, g) : strt::coarsen_lower(f, g);
-        return CoarseCurvePtr{intern(std::move(c.curve)), c.max_error};
-      },
-      &hit);
-  if (hit) impl_->coarse_hits.add();
-  return result;
-}
-
-Workspace::CoarseCurvePtr Workspace::coarse_upper(const Staircase& f,
-                                                  Time g) {
-  return coarse(f, g, /*upper=*/true);
-}
-
-Workspace::CoarseCurvePtr Workspace::coarse_lower(const Staircase& f,
-                                                  Time g) {
-  return coarse(f, g, /*upper=*/false);
-}
-
-Workspace::PseudoInverse Workspace::inverse_of(const Staircase& curve) {
-  // Caching off: no entry, so every lookup computes (and counts nothing).
-  if (!caching_) return PseudoInverse(&curve, nullptr, this);
-  std::shared_ptr<PseudoInverse::Entry> entry = impl_->inverses.get(
-      [&] { return fingerprint(curve); },
-      [] { return std::make_shared<PseudoInverse::Entry>(); });
-  return PseudoInverse(&curve, std::move(entry), this);
-}
-
-Time Workspace::PseudoInverse::operator()(Work w) const {
-  if (!entry_) return curve_->inverse(w);
-  {
-    const MutexLock lock(entry_->m);
-    if (const auto it = entry_->memo.find(w.count());
-        it != entry_->memo.end()) {
-      owner_->impl_->inverse_hits.add();
-      return it->second;
-    }
-  }
-  const Time t = curve_->inverse(w);
-  owner_->impl_->inverse_misses.add();
-  const MutexLock lock(entry_->m);
-  entry_->memo.emplace(w.count(), t);
-  return t;
-}
-
 namespace {
 
 /// Translates one shared curve into the wire representation.
@@ -889,12 +802,6 @@ bool Workspace::save_snapshot(const std::string& path, std::string* error) {
           snapshot::DerivedRecord{key.op, key.a, key.b, *fp});
     }
   });
-  impl_->coarse.for_each([&](const CoarseKey& key, const CoarseCurvePtr& c) {
-    if (const auto fp = add_curve(c.curve)) {
-      snap.coarse.push_back(snapshot::CoarseRecord{key.fp, key.g, key.side,
-                                                   *fp, c.max_error.count()});
-    }
-  });
 
   snap.curves.reserve(exported.size());
   for (const auto& [fp, curve] : exported) {
@@ -912,8 +819,6 @@ bool Workspace::save_snapshot(const std::string& path, std::string* error) {
   sort_by(snap.dbf, [](const auto& r) { return r.task_fp; });
   sort_by(snap.sbf, [](const auto& r) { return std::tie(r.key, r.horizon); });
   sort_by(snap.derived, [](const auto& r) { return std::tie(r.op, r.a, r.b); });
-  sort_by(snap.coarse,
-          [](const auto& r) { return std::tie(r.fp, r.g, r.side); });
 
   if (!snapshot::write_file(path, snap, error)) return false;
 
@@ -1006,9 +911,6 @@ bool Workspace::load_snapshot(const std::string& path, std::string* error) {
       }
       (void)resolve(rec.curve_fp);
     }
-    for (const snapshot::CoarseRecord& rec : snap.coarse) {
-      (void)resolve(rec.curve_fp);
-    }
 
     // Stage 2 -- apply through the normal first-insert-wins inserts
     // (safe concurrently with serving and with other loaders/savers).
@@ -1033,11 +935,6 @@ bool Workspace::load_snapshot(const std::string& path, std::string* error) {
       (void)impl_->derived.insert(DerivedKey{rec.op, rec.a, rec.b},
                                   staged.at(rec.curve_fp));
     }
-    for (const snapshot::CoarseRecord& rec : snap.coarse) {
-      (void)impl_->coarse.insert(
-          CoarseKey{rec.fp, rec.g, rec.side},
-          CoarseCurvePtr{staged.at(rec.curve_fp), Work(rec.max_error)});
-    }
 
     static obs::Counter& c_load_ns = obs::counter("snapshot.load_ns");
     c_load_ns.add(ns_since(t0));
@@ -1056,9 +953,6 @@ WorkspaceStats Workspace::stats() const {
   s.hits = impl_->hits.load();
   s.misses = impl_->misses.load();
   s.bytes = impl_->bytes.load();
-  s.inverse_hits = impl_->inverse_hits.load();
-  s.inverse_misses = impl_->inverse_misses.load();
-  s.coarse_hits = impl_->coarse_hits.load();
   s.evictions = impl_->evictions.load();
   s.evicted_bytes = impl_->evicted_bytes.load();
   return s;

@@ -2,22 +2,22 @@
 //
 // Every core analysis is built from the same few expensive artifacts: the
 // exploration-backed request/demand-bound staircases rbf/dbf, materialized
-// supply curves, pointwise sums, leftover-service curves, concave hulls,
-// min-plus convolutions, and pseudo-inverse lookups on service curves.
-// Sweeping callers (sensitivity probing, Audsley priority search, the
-// joint-FP candidate loop, bench trial sweeps) recompute those artifacts
-// with identical arguments over and over.  A Workspace caches them.
+// supply curves, pointwise sums, leftover-service curves, concave hulls
+// and min-plus convolutions.  Sweeping callers (sensitivity probing,
+// Audsley priority search, the joint-FP candidate loop, bench trial
+// sweeps) recompute those artifacts with identical arguments over and
+// over.  A Workspace caches them.
 //
 // Hash-consing: every curve the workspace produces is interned by a
 // 64-bit content fingerprint (full equality confirmed on fingerprint
 // match), so identical curves share one allocation and memo keys are
 // fingerprints.
 //
-// Memo families -- intern, validate, rbf, dbf, sbf, derived (sums,
-// min-plus convolutions, leftover service, hulls), coarsen and
-// inverse_of -- are instances of one striped Memo (workspace.cpp).  A
-// family supplies its key, its value and the eviction group of a key;
-// the Memo does the rest, once for all of them:
+// Memo families -- intern, validate, rbf, dbf, sbf and derived (sums,
+// min-plus convolutions, leftover service, hulls) -- are instances of one
+// striped Memo (workspace.cpp).  A family supplies its key, its value and
+// the eviction group of a key; the Memo does the rest, once for all of
+// them:
 //
 //   * 16 (mutex, table) stripes picked by the key's hash, so lookups
 //     about different systems almost never share a lock;
@@ -34,10 +34,15 @@
 // Only what really differs stays per family: rbf/dbf horizon-extension
 // reuse (a cached curve materialized to H' >= H answers the H query by
 // truncation, bit-identical to a fresh computation -- enforced by
-// tests/test_engine_equivalence.cpp), the bucketed intern table with its
-// byte accounting, and the per-curve pseudo-inverse entry.  No two stripe
-// locks are ever held at once, and the eviction registry lock is never
-// held while a stripe lock is taken.
+// tests/test_engine_equivalence.cpp) and the bucketed intern table with
+// its byte accounting.  No two stripe locks are ever held at once, and the
+// eviction registry lock is never held while a stripe lock is taken.
+//
+// Not memoized, because measurement showed the memo did not pay: the
+// pseudo-inverse lookups of the structural fold (Staircase::inverse is a
+// branchless search, cheaper than a keyed probe) and granularity
+// coarsening (curves/coarsen.hpp; the certified driver halves g every
+// round, so a request never re-probes a (curve, g) pair).
 //
 // Switching off: Workspace(false) -- or the environment variable
 // STRT_CACHE=0 for workspaces built with the default constructor -- turns
@@ -45,11 +50,12 @@
 // count as misses).  Results are bit-identical either way.
 //
 // Persistence: save_snapshot() writes the curve-bearing families to the
-// versioned on-disk format strt.engine.snapshot.v1 (src/snapshot/),
-// crash-safe via tmp+rename.  load_snapshot() revalidates every record
-// (canonical form plus a recomputed fingerprint per curve) before it
-// applies any, so a malformed file is rejected whole (snapshot.rejected)
-// and warm-from-disk results stay bit-identical to cold computation.
+// versioned on-disk format strt.engine.snapshot.v2 (src/snapshot/; v1
+// files still load), crash-safe via tmp+rename.  load_snapshot()
+// revalidates every record (canonical form plus a recomputed fingerprint
+// per curve) before it applies any, so a malformed file is rejected whole
+// (snapshot.rejected) and warm-from-disk results stay bit-identical to
+// cold computation.
 //
 // Eviction: set_cache_bytes_budget() bounds the interned-curve bytes.
 // Past the budget, whole groups -- a task's, a curve's or a supply's
@@ -58,8 +64,7 @@
 // never evicted.
 //
 // Observability: cache.hits / cache.misses / cache.bytes /
-// cache.evictions / cache.evicted_bytes / cache.inverse_hits /
-// cache.inverse_misses / cache.coarse_hits, and per family
+// cache.evictions / cache.evicted_bytes, and per family
 // cache.<family>.hits / cache.<family>.misses, are bumped on the global
 // obs registry; stats() returns the aggregate numbers per workspace.
 // Snapshot I/O reports snapshot.load_ns / snapshot.save_ns /
@@ -90,11 +95,10 @@ struct WorkspaceStats {
   std::uint64_t misses{0};
   /// Approximate bytes of interned curve storage currently held.
   std::uint64_t bytes{0};
-  /// Pseudo-inverse point lookups answered from / added to the memo.
+  /// Always 0: pseudo-inverse lookups are no longer memoized.  Kept so
+  /// readers of the former inverse-memo counts still compile.
   std::uint64_t inverse_hits{0};
   std::uint64_t inverse_misses{0};
-  /// Coarse-curve queries answered from the (fingerprint, g, side) memo.
-  std::uint64_t coarse_hits{0};
   /// Entry groups dropped by the bytes-budget eviction policy, and the
   /// interned-curve bytes they released.
   std::uint64_t evictions{0};
@@ -156,7 +160,7 @@ class Workspace {
   [[nodiscard]] BatchPin pin_batch();
 
   /// Serializes the curve-bearing memo families to `path` in the
-  /// versioned strt.engine.snapshot.v1 format, crash-safe (tmp+rename).
+  /// versioned strt.engine.snapshot.v2 format, crash-safe (tmp+rename).
   /// Applies the bytes-budget eviction first when a budget is set.
   /// False (reason in *error) on I/O failure; false with no entries
   /// written is still a valid snapshot of an empty workspace.
@@ -188,18 +192,6 @@ class Workspace {
   /// supply.sbf(horizon), memoized by (supply description, horizon).
   [[nodiscard]] CurvePtr sbf(const Supply& supply, Time horizon);
 
-  /// Memoized granularity coarsening (curves/coarsen.hpp), keyed by
-  /// (curve fingerprint, g, side).  The certified-bound driver re-probes
-  /// the same (curve, g) pair on every refinement round and across
-  /// request sweeps, so these hits are tracked separately as
-  /// cache.coarse_hits / WorkspaceStats::coarse_hits.
-  struct CoarseCurvePtr {
-    CurvePtr curve;
-    Work max_error{0};
-  };
-  [[nodiscard]] CoarseCurvePtr coarse_upper(const Staircase& f, Time g);
-  [[nodiscard]] CoarseCurvePtr coarse_lower(const Staircase& f, Time g);
-
   /// Memoized curve algebra (operand-fingerprint keyed, exact match).
   [[nodiscard]] CurvePtr pointwise_add(const Staircase& f,
                                        const Staircase& g);
@@ -207,27 +199,6 @@ class Workspace {
   [[nodiscard]] CurvePtr leftover_service(const Staircase& b,
                                           const Staircase& a);
   [[nodiscard]] CurvePtr concave_hull_staircase(const Staircase& f);
-
-  /// Memoized pseudo-inverse view of one curve: obtain once per curve
-  /// (pays one content hash), then call per value.  `curve` must outlive
-  /// the returned object.  Thread-safe; lookups on the same curve share
-  /// one memo across the workspace.
-  class PseudoInverse {
-   public:
-    [[nodiscard]] Time operator()(Work w) const;
-
-   private:
-    friend class Workspace;
-    struct Entry;
-    PseudoInverse(const Staircase* curve, std::shared_ptr<Entry> entry,
-                  Workspace* owner)
-        : curve_(curve), entry_(std::move(entry)), owner_(owner) {}
-
-    const Staircase* curve_;
-    std::shared_ptr<Entry> entry_;  // null => pass-through (caching off)
-    Workspace* owner_;
-  };
-  [[nodiscard]] PseudoInverse inverse_of(const Staircase& curve);
 
   /// Hash-conses `c`: returns the workspace's canonical shared instance
   /// (full equality checked on fingerprint collision).
@@ -240,7 +211,6 @@ class Workspace {
   template <class Compute>
   [[nodiscard]] CurvePtr derived(DerivedOp op, const Staircase& f,
                                  const Staircase* g, Compute&& compute);
-  [[nodiscard]] CoarseCurvePtr coarse(const Staircase& f, Time g, bool upper);
   [[nodiscard]] CurvePtr workload_curve(const DrtTask& task, Time horizon,
                                         bool demand);
 

@@ -152,10 +152,8 @@ AnalysisOutcome run_request_core(engine::Workspace& ws,
   const auto finish = [&](OutcomeStatus status) -> AnalysisOutcome& {
     out.status = status;
     const engine::WorkspaceStats after = ws.stats();
-    out.stats.cache_hits = (after.hits + after.inverse_hits) -
-                           (before.hits + before.inverse_hits);
-    out.stats.cache_misses = (after.misses + after.inverse_misses) -
-                             (before.misses + before.inverse_misses);
+    out.stats.cache_hits = after.hits - before.hits;
+    out.stats.cache_misses = after.misses - before.misses;
     out.stats.run_us = us_between(started, Clock::now());
     switch (status) {
       case OutcomeStatus::kOk: c_ok.add(1); break;

@@ -458,10 +458,8 @@ void Service::Impl::process(Shard& s, std::vector<Pending> round) {
 
     // Attribute the batch's cache delta to every member, then fulfill.
     const engine::WorkspaceStats after = ws.stats();
-    const std::uint64_t hits = (after.hits + after.inverse_hits) -
-                               (before.hits + before.inverse_hits);
-    const std::uint64_t misses = (after.misses + after.inverse_misses) -
-                                 (before.misses + before.inverse_misses);
+    const std::uint64_t hits = after.hits - before.hits;
+    const std::uint64_t misses = after.misses - before.misses;
     std::uint64_t expired = 0;
     for (std::size_t i = 0; i < group.size(); ++i) {
       outs[i].stats.cache_hits = hits;

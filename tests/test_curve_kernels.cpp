@@ -231,30 +231,6 @@ TEST(CurveKernels, CoarsenSoundnessAndExactError) {
   }
 }
 
-TEST(CurveKernels, WorkspaceCoarseMemoHitsAndBitIdentity) {
-  Rng rng(42);
-  const Staircase f = random_staircase(rng, Time(64), 5, 0.4);
-
-  engine::Workspace cached(true);
-  const auto first = cached.coarse_upper(f, Time(8));
-  const auto second = cached.coarse_upper(f, Time(8));
-  EXPECT_EQ(first.curve.get(), second.curve.get());
-  EXPECT_EQ(first.max_error, second.max_error);
-  EXPECT_GE(cached.stats().coarse_hits, 1u);
-
-  engine::Workspace uncached(false);
-  const auto fresh = uncached.coarse_upper(f, Time(8));
-  EXPECT_EQ(*fresh.curve, *first.curve);
-  EXPECT_EQ(fresh.max_error, first.max_error);
-  EXPECT_EQ(uncached.stats().coarse_hits, 0u);
-
-  // Different granularity or side is a different memo family.
-  const auto lower = cached.coarse_lower(f, Time(8));
-  const auto coarser = cached.coarse_upper(f, Time(16));
-  EXPECT_NE(lower.curve.get(), first.curve.get());
-  EXPECT_NE(coarser.curve.get(), first.curve.get());
-}
-
 TEST(CurveKernels, CertifiedBracketContainsExactDelay) {
   const std::vector<DrtTask> tasks = {test::small_task(),
                                       test::clean_task()};

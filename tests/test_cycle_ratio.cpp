@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -218,8 +219,11 @@ DrtTask random_graph(Rng& rng) {
   DrtBuilder b("rnd");
   const auto n = rng.uniform_int(1, 6);
   for (std::int64_t v = 0; v < n; ++v) {
-    b.add_vertex("v" + std::to_string(v), Work(rng.uniform_int(1, 12)),
-                 Time(1));
+    // Not "v" + std::to_string(v): gcc 12's -Wrestrict misfires on that
+    // operator+ at -O3.
+    std::string name = std::to_string(v);
+    name.insert(0, 1, 'v');
+    b.add_vertex(name, Work(rng.uniform_int(1, 12)), Time(1));
   }
   for (std::int64_t u = 0; u < n; ++u) {
     for (std::int64_t v = 0; v < n; ++v) {
@@ -279,8 +283,9 @@ TEST(Utilization, RandomAcyclicTasksHaveNone) {
     DrtBuilder b("dag");
     const auto n = rng.uniform_int(1, 6);
     for (std::int64_t v = 0; v < n; ++v) {
-      b.add_vertex("v" + std::to_string(v), Work(rng.uniform_int(1, 9)),
-                   Time(1));
+      std::string name = std::to_string(v);  // see random_graph
+      name.insert(0, 1, 'v');
+      b.add_vertex(name, Work(rng.uniform_int(1, 9)), Time(1));
     }
     // Edges only go forward in index order, so no cycle exists.
     for (std::int64_t u = 0; u < n; ++u) {

@@ -1,7 +1,7 @@
 // Unit tests of the strt::engine layer: task/curve fingerprints, the
 // hash-consing intern table, workload-curve memoization with
-// horizon-extension reuse, derived-op caching, pseudo-inverse memos, and
-// the caching-off pass-through mode.
+// horizon-extension reuse, derived-op caching, and the caching-off
+// pass-through mode.
 
 #include <gtest/gtest.h>
 
@@ -117,21 +117,6 @@ TEST(EngineWorkspace, DerivedOpsMatchFreeFunctions) {
   const std::uint64_t hits = ws.stats().hits;
   EXPECT_EQ(*ws.pointwise_add(f, g), pointwise_add(f, g));
   EXPECT_GT(ws.stats().hits, hits);
-}
-
-TEST(EngineWorkspace, PseudoInverseMatchesDirectLookups) {
-  const Staircase beta = Supply::tdma(Time(4), Time(9)).sbf(Time(300));
-  for (const bool caching : {true, false}) {
-    engine::Workspace ws(caching);
-    const engine::Workspace::PseudoInverse inv = ws.inverse_of(beta);
-    for (std::int64_t w = 0; w <= beta.value(Time(300)).count(); ++w) {
-      EXPECT_EQ(inv(Work(w)), beta.inverse(Work(w)));
-    }
-    // Repeat pass: memoized answers must not drift.
-    for (std::int64_t w = 0; w <= beta.value(Time(300)).count(); ++w) {
-      EXPECT_EQ(inv(Work(w)), beta.inverse(Work(w)));
-    }
-  }
 }
 
 TEST(EngineWorkspace, CachingOffIsPassThrough) {

@@ -1,10 +1,11 @@
 // strt::snapshot + engine::Workspace persistence and eviction.
 //
 // Pins the warm-start contracts of the persistent snapshot
-// (strt.engine.snapshot.v1):
+// (strt.engine.snapshot.v2):
 //
 //   * Codec round-trip: encode() -> decode() reproduces every section
-//     exactly, and the writer's output is deterministic.
+//     exactly, and the writer's output is deterministic.  A v1 file's
+//     coarse section is checksum-checked and skipped; v2 knows no id 6.
 //   * Rejection: a flipped magic, an unknown version, a corrupted
 //     payload byte (checksum), or a truncated file is rejected whole --
 //     load_snapshot() returns false, bumps snapshot.rejected, applies
@@ -14,8 +15,9 @@
 //     bare Workspace and via a restarted svc::Service reusing one
 //     snapshot file.
 //   * Wire format pinned across builds: tests/data/snapshot_v1_parent.snap
-//     was saved by an earlier build from fixture_requests(); this build
-//     must reload and re-save it, and recompute it cold, byte for byte.
+//     was saved by an earlier (v1) build from fixture_requests(); this
+//     build must reload and re-save it as tests/data/snapshot_v2.snap,
+//     and recompute that file cold, byte for byte.
 //   * Eviction: a bytes budget is enforced (stats().bytes ends within
 //     budget, cache.evictions counts), evicted entries of every memo
 //     family recompute to the same answers, and groups touched under a
@@ -90,10 +92,10 @@ std::vector<svc::AnalysisRequest> every_family_requests(std::uint64_t seed) {
 }
 
 /// The requests tests/data/snapshot_v1_parent.snap was saved from:
-/// structural (validation, rbf, sbf, inverses), FP (sums, leftover
-/// service), EDF (dbf) and one certified structural request (coarse
-/// curves), so every snapshot section is non-empty.  Changing this list
-/// invalidates the fixture.
+/// structural (validation, rbf, sbf), FP (sums, leftover service), EDF
+/// (dbf) and one certified structural request (the v1 coarse section), so
+/// every snapshot section is non-empty.  Changing this list invalidates
+/// both fixtures.
 std::vector<svc::AnalysisRequest> fixture_requests() {
   std::vector<svc::AnalysisRequest> reqs;
   reqs.push_back(request_of_kind(svc::AnalysisKind::kStructural, 1, 700));
@@ -193,6 +195,15 @@ std::string slurp_file(const std::string& path) {
   return bytes;
 }
 
+/// The little-endian u64 at byte `pos` of a snapshot file.
+std::uint64_t u64_at(const std::string& bytes, std::size_t pos) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 8; i-- > 0;) {
+    v = (v << 8) | static_cast<unsigned char>(bytes[pos + i]);
+  }
+  return v;
+}
+
 snapshot::Snapshot sample_snapshot() {
   snapshot::Snapshot snap;
   snapshot::CurveRecord c1;
@@ -216,7 +227,6 @@ snapshot::Snapshot sample_snapshot() {
   snap.dbf = {{0xbbb, {{16, 0x2222}, {40, 0x1111}}}};
   snap.sbf = {{"tdma slot 7 cycle 10", 40, 0x1111}};
   snap.derived = {{0, 0x1111, 0x2222, 0x2222}};
-  snap.coarse = {{0x1111, 8, 0, 0x2222, 12}};
   return snap;
 }
 
@@ -230,7 +240,6 @@ TEST(SnapshotCodec, RoundTripReproducesEverySection) {
   EXPECT_EQ(back.snap.dbf, snap.dbf);
   EXPECT_EQ(back.snap.sbf, snap.sbf);
   EXPECT_EQ(back.snap.derived, snap.derived);
-  EXPECT_EQ(back.snap.coarse, snap.coarse);
   EXPECT_EQ(back.snap.entry_count(), snap.entry_count());
   // Deterministic bytes: encoding twice is bit-identical (CI diffs
   // snapshot files across runs).
@@ -272,6 +281,29 @@ TEST(SnapshotCodec, RejectsMagicVersionChecksumAndTruncation) {
   expect_rejected(std::string(), "empty input");
 }
 
+TEST(SnapshotCodec, V1CoarseSectionIsCheckedThenSkipped) {
+  // The v1 fixture ends with its coarse section (id 6): a flipped byte in
+  // that payload still fails its checksum, although the section is not
+  // kept.  The last 8 bytes are the checksum, so size - 9 is payload.
+  std::string v1 =
+      slurp_file(std::string(STRT_TEST_DATA_DIR) + "/snapshot_v1_parent.snap");
+  ASSERT_TRUE(snapshot::decode(v1).ok);
+  v1[v1.size() - 9] = static_cast<char>(v1[v1.size() - 9] ^ 0x01);
+  const snapshot::DecodeResult corrupt = snapshot::decode(v1);
+  EXPECT_FALSE(corrupt.ok);
+  EXPECT_EQ(corrupt.error, "section checksum mismatch");
+
+  // In v2, id 6 is unknown: relabel the last (derived) section as 6.
+  std::string v2 = snapshot::encode(sample_snapshot());
+  std::size_t pos = 24;  // header
+  for (int s = 0; s < 4; ++s) pos += 16 + u64_at(v2, pos + 8) + 8;
+  ASSERT_EQ(v2[pos], static_cast<char>(snapshot::SectionId::kDerived));
+  v2[pos] = 6;
+  const snapshot::DecodeResult unknown = snapshot::decode(v2);
+  EXPECT_FALSE(unknown.ok);
+  EXPECT_EQ(unknown.error, "unknown section id");
+}
+
 TEST(SnapshotCodec, ValidateCurveEnforcesCanonicalForm) {
   snapshot::CurveRecord rec = sample_snapshot().curves[0];
   std::string error;
@@ -300,7 +332,7 @@ TEST(SnapshotWarmStart, BitIdenticalAcrossAllSixKinds) {
   // Cold run of one request per kind, then persist the warmth.
   std::vector<svc::AnalysisOutcome> cold;
   {
-    engine::Workspace ws;
+    engine::Workspace ws(true);
     std::uint64_t id = 1;
     for (const svc::AnalysisKind kind : svc::kAllAnalysisKinds) {
       cold.push_back(
@@ -313,7 +345,7 @@ TEST(SnapshotWarmStart, BitIdenticalAcrossAllSixKinds) {
 
   // Fresh workspace, warm-started from disk: outcomes are bit-identical
   // and the warm run answers the curve queries from the cache.
-  engine::Workspace warm;
+  engine::Workspace warm(true);
   std::string error;
   ASSERT_TRUE(warm.load_snapshot(file.path, &error)) << error;
   const engine::WorkspaceStats before = warm.stats();
@@ -335,14 +367,14 @@ TEST(SnapshotWarmStart, SaveLoadRoundTripIsStable) {
   const ScratchFile first("stable_a");
   const ScratchFile second("stable_b");
   {
-    engine::Workspace ws;
+    engine::Workspace ws(true);
     (void)svc::run_request(
         ws, request_of_kind(svc::AnalysisKind::kStructural, 1, 101));
     (void)svc::run_request(ws,
                            request_of_kind(svc::AnalysisKind::kEdf, 2, 102));
     ASSERT_TRUE(ws.save_snapshot(first.path));
   }
-  engine::Workspace reloaded;
+  engine::Workspace reloaded(true);
   ASSERT_TRUE(reloaded.load_snapshot(first.path));
   ASSERT_TRUE(reloaded.save_snapshot(second.path));
 
@@ -353,7 +385,7 @@ TEST(SnapshotWarmStart, RejectedAndMissingFilesColdStartClean) {
   obs::set_enabled(true);
   const ScratchFile file("rejected");
 
-  engine::Workspace seed;
+  engine::Workspace seed(true);
   (void)svc::run_request(
       seed, request_of_kind(svc::AnalysisKind::kStructural, 1, 300));
   ASSERT_TRUE(seed.save_snapshot(file.path));
@@ -362,7 +394,7 @@ TEST(SnapshotWarmStart, RejectedAndMissingFilesColdStartClean) {
 
   obs::Counter& rejected = obs::counter("snapshot.rejected");
   const svc::AnalysisOutcome want = [&] {
-    engine::Workspace ws;
+    engine::Workspace ws(true);
     return svc::run_request(
         ws, request_of_kind(svc::AnalysisKind::kStructural, 1, 300));
   }();
@@ -375,7 +407,7 @@ TEST(SnapshotWarmStart, RejectedAndMissingFilesColdStartClean) {
                 static_cast<std::streamsize>(corrupt.size()));
     }
     const std::uint64_t rejections = rejected.value();
-    engine::Workspace ws;
+    engine::Workspace ws(true);
     std::string error;
     EXPECT_FALSE(ws.load_snapshot(file.path, &error)) << what;
     EXPECT_FALSE(error.empty()) << what;
@@ -404,7 +436,7 @@ TEST(SnapshotWarmStart, RejectedAndMissingFilesColdStartClean) {
   const std::uint64_t rejections = rejected.value();
   std::error_code ec;
   fs::remove(file.path, ec);
-  engine::Workspace ws;
+  engine::Workspace ws(true);
   std::string error;
   EXPECT_FALSE(ws.load_snapshot(file.path, &error));
   EXPECT_EQ(rejected.value(), rejections);
@@ -442,22 +474,44 @@ TEST(SnapshotWarmStart, ServiceRestartServesWarmBitIdentical) {
 }
 
 TEST(SnapshotWireFormat, PinnedFileReloadsAndRecomputesByteIdentical) {
-  const std::string fixture =
+  const std::string v1_fixture =
       std::string(STRT_TEST_DATA_DIR) + "/snapshot_v1_parent.snap";
-  const std::string want = slurp_file(fixture);
+  const std::string want =
+      slurp_file(std::string(STRT_TEST_DATA_DIR) + "/snapshot_v2.snap");
   const snapshot::DecodeResult decoded = snapshot::decode(want);
   ASSERT_TRUE(decoded.ok) << decoded.error;
+  EXPECT_EQ(want[8], 2) << "version field";
   EXPECT_FALSE(decoded.snap.curves.empty());
   EXPECT_FALSE(decoded.snap.rbf.empty());
   EXPECT_FALSE(decoded.snap.dbf.empty());
   EXPECT_FALSE(decoded.snap.sbf.empty());
   EXPECT_FALSE(decoded.snap.derived.empty());
-  EXPECT_FALSE(decoded.snap.coarse.empty());
 
-  // Load and re-save: every record survives the trip through the tables.
+  // The v2 records are the v1 file's minus its coarse section and the
+  // curves only that section referenced: the four coarse results below.
+  const std::string v1 = slurp_file(v1_fixture);
+  const snapshot::DecodeResult old = snapshot::decode(v1);
+  ASSERT_TRUE(old.ok) << old.error;
+  EXPECT_EQ(old.snap.curves, decoded.snap.curves);
+  EXPECT_EQ(old.snap.rbf, decoded.snap.rbf);
+  EXPECT_EQ(old.snap.dbf, decoded.snap.dbf);
+  EXPECT_EQ(old.snap.sbf, decoded.snap.sbf);
+  EXPECT_EQ(old.snap.derived, decoded.snap.derived);
+  // The first v1 section is the curves; its payload opens with the count.
+  ASSERT_EQ(v1[24], static_cast<char>(snapshot::SectionId::kCurves));
+  const std::uint64_t v1_curves = u64_at(v1, 40);
+  const std::uint64_t coarse_only[] = {0x053d3d3420917ba1, 0x0b5bc38c327604c2,
+                                       0x6eaca36ad1adbb16, 0xf6ab0e402fc075ff};
+  EXPECT_EQ(v1_curves, decoded.snap.curves.size() + std::size(coarse_only));
+  for (const snapshot::CurveRecord& c : decoded.snap.curves) {
+    for (const std::uint64_t fp : coarse_only) EXPECT_NE(c.fp, fp);
+  }
+
+  // Load the v1 file and re-save: every surviving record makes the trip
+  // through the tables, and the result is the v2 fixture.
   std::string error;
   engine::Workspace loaded(true);
-  ASSERT_TRUE(loaded.load_snapshot(fixture, &error)) << error;
+  ASSERT_TRUE(loaded.load_snapshot(v1_fixture, &error)) << error;
   const ScratchFile resaved("fixture_resaved");
   ASSERT_TRUE(loaded.save_snapshot(resaved.path, &error)) << error;
   EXPECT_EQ(slurp_file(resaved.path), want);
@@ -479,7 +533,7 @@ TEST(Eviction, BudgetIsEnforcedAndAnswersAreUnchanged) {
 
   // Unbudgeted baseline: how many bytes does this workload intern, and
   // what does it answer?
-  engine::Workspace baseline;
+  engine::Workspace baseline(true);
   std::vector<svc::AnalysisOutcome> want;
   for (const svc::AnalysisRequest& req : reqs) {
     want.push_back(svc::run_request(baseline, req));
@@ -502,8 +556,7 @@ TEST(Eviction, BudgetIsEnforcedAndAnswersAreUnchanged) {
   // Evict everything evictable, then query again: every family the
   // requests warmed misses again and recomputes the same answers.
   const char* const families[] = {"intern", "validate", "rbf",
-                                  "dbf",    "sbf",      "derived",
-                                  "coarsen", "inverse_of"};
+                                  "dbf",    "sbf",      "derived"};
   const auto misses = [](const std::string& family) {
     return obs::counter("cache." + family + ".misses").value();
   };
@@ -520,7 +573,7 @@ TEST(Eviction, BudgetIsEnforcedAndAnswersAreUnchanged) {
 }
 
 TEST(Eviction, PinnedBatchGroupsSurvive) {
-  engine::Workspace ws;
+  engine::Workspace ws(true);
   // Warm two distinct systems, then arm a tiny budget while a pin taken
   // *before* the second system's queries is alive: every group touched
   // since the pin is exempt, so only the first (stale) system may go.
@@ -552,12 +605,12 @@ TEST(Eviction, PinnedBatchGroupsSurvive) {
 
 TEST(SnapshotConcurrency, SaveAndLoadRaceLiveQueries) {
   const ScratchFile file("concurrent");
-  engine::Workspace seed;
+  engine::Workspace seed(true);
   (void)svc::run_request(
       seed, request_of_kind(svc::AnalysisKind::kStructural, 1, 600));
   ASSERT_TRUE(seed.save_snapshot(file.path));
 
-  engine::Workspace shared;
+  engine::Workspace shared(true);
   std::atomic<bool> stop{false};
   std::vector<std::thread> workers;
   for (int t = 0; t < 2; ++t) {
@@ -579,7 +632,7 @@ TEST(SnapshotConcurrency, SaveAndLoadRaceLiveQueries) {
   for (std::thread& w : workers) w.join();
 
   // The file is still a valid snapshot after the dust settles.
-  engine::Workspace check;
+  engine::Workspace check(true);
   EXPECT_TRUE(check.load_snapshot(file.path));
 }
 

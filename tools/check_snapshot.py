@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a strt.engine.snapshot.v1 file (engine warm-start cache).
+"""Validate a strt.engine.snapshot file (engine warm-start cache), v2 or v1.
 
 Usage: check_snapshot.py SNAPSHOT_FILE [--min-entries N]
 
@@ -8,12 +8,15 @@ src/snapshot/snapshot.hpp, with no dependencies beyond the standard
 library, so CI can verify what strt_serve / analyze_file wrote without
 rebuilding any C++:
 
-  header     magic "STRTSNAP", u32 version == 1, u32 endianness tag ==
-             0x01020304 (little-endian), u32 section count <= 6,
-             u32 reserved == 0.
-  sections   ids 1..6 (curves, rbf, dbf, sbf, derived, coarse), no
-             duplicates, exact payload framing, FNV-1a 64 checksum over
-             each payload, no trailing bytes after the last section.
+  header     magic "STRTSNAP", u32 version 2 (or 1), u32 endianness
+             tag == 0x01020304 (little-endian), u32 section count <= 5
+             (6 for v1), u32 reserved == 0.
+  sections   ids 1..5 (curves, rbf, dbf, sbf, derived), no duplicates,
+             exact payload framing, FNV-1a 64 checksum over each
+             payload, no trailing bytes after the last section.  A v1
+             file may also carry id 6 (the retired coarse-curve memo):
+             it is framed and checksum-checked like the rest, and its
+             records are skipped.
   records    every section payload parses to its record layout exactly
              (no slack); curve records are canonical staircases (times
              strictly increasing from 0, values strictly increasing,
@@ -21,9 +24,9 @@ rebuilding any C++:
              every cached-curve fingerprint (the curve_fp a memo entry
              resolves to) is present in the curves section, and a
              workload entry's horizon matches its curve's horizon.
-             Memo-key components (derived-op operands, a coarse entry's
-             source curve) are opaque and are NOT required to be
-             present -- they identify inputs that need not be interned.
+             Memo-key components (derived-op operands) are opaque and
+             are NOT required to be present -- they identify inputs that
+             need not be interned.
 
 With --min-entries N the snapshot must carry at least N entries in
 total (workload records count one entry per cached horizon) -- CI uses
@@ -37,10 +40,11 @@ import sys
 from pathlib import Path
 
 MAGIC = b"STRTSNAP"
-VERSION = 1
+VERSIONS = (1, 2)
 ENDIAN_TAG = 0x01020304
 SECTION_NAMES = {1: "curves", 2: "rbf", 3: "dbf", 4: "sbf",
-                 5: "derived", 6: "coarse"}
+                 5: "derived"}
+V1_COARSE_ID = 6  # framed and checksummed in v1 files, then skipped
 
 
 def fail(msg):
@@ -198,26 +202,6 @@ def parse_derived(payload, where):
     return refs, count
 
 
-def parse_coarse(payload, where):
-    c = Cursor(payload, where)
-    count = c.u64()
-    refs = []
-    for i in range(count):
-        c.u64()  # source curve fp -- opaque memo-key component
-        g = c.i64()
-        if g < 1:
-            fail(f"{where}: record {i} has granularity {g} < 1")
-        side = c.u8()
-        if side not in (0, 1):
-            fail(f"{where}: record {i} has side {side}, expected 0 or 1")
-        refs.append((c.u64(), None))  # cached coarse curve
-        max_error = c.i64()
-        if max_error < 0:
-            fail(f"{where}: record {i} has negative max error")
-    c.done()
-    return refs, count
-
-
 def check_snapshot(path, min_entries=0):
     data = path.read_bytes()
     if len(data) < len(MAGIC) + 16:
@@ -226,14 +210,16 @@ def check_snapshot(path, min_entries=0):
         fail(f"{path}: bad magic {data[:len(MAGIC)]!r}")
     version, endian, section_count, reserved = struct.unpack_from(
         "<IIII", data, len(MAGIC))
-    if version != VERSION:
-        fail(f"{path}: version {version}, expected {VERSION}")
+    if version not in VERSIONS:
+        fail(f"{path}: version {version}, expected one of {VERSIONS}")
+    names = dict(SECTION_NAMES)
+    if version == 1:
+        names[V1_COARSE_ID] = "coarse"
     if endian != ENDIAN_TAG:
         fail(f"{path}: endianness tag {endian:#010x}, expected "
              f"{ENDIAN_TAG:#010x} (byte-swapped writer?)")
-    if section_count > len(SECTION_NAMES):
-        fail(f"{path}: section count {section_count} > "
-             f"{len(SECTION_NAMES)}")
+    if section_count > len(names):
+        fail(f"{path}: section count {section_count} > {len(names)}")
     if reserved != 0:
         fail(f"{path}: header reserved field is {reserved}, expected 0")
 
@@ -244,22 +230,22 @@ def check_snapshot(path, min_entries=0):
             fail(f"{path}: truncated section header at byte {pos}")
         sec_id, sec_reserved, length = struct.unpack_from("<IIQ", data, pos)
         pos += 16
-        if sec_id not in SECTION_NAMES:
+        if sec_id not in names:
             fail(f"{path}: unknown section id {sec_id}")
         if sec_id in payloads:
-            fail(f"{path}: duplicate section {SECTION_NAMES[sec_id]!r}")
+            fail(f"{path}: duplicate section {names[sec_id]!r}")
         if sec_reserved != 0:
-            fail(f"{path}: section {SECTION_NAMES[sec_id]!r} reserved "
+            fail(f"{path}: section {names[sec_id]!r} reserved "
                  f"field is {sec_reserved}, expected 0")
         if pos + length + 8 > len(data):
-            fail(f"{path}: section {SECTION_NAMES[sec_id]!r} payload "
+            fail(f"{path}: section {names[sec_id]!r} payload "
                  f"overruns the file")
         payload = data[pos:pos + length]
         pos += length
         (checksum,) = struct.unpack_from("<Q", data, pos)
         pos += 8
         if fnv1a64(payload) != checksum:
-            fail(f"{path}: section {SECTION_NAMES[sec_id]!r} checksum "
+            fail(f"{path}: section {names[sec_id]!r} checksum "
                  f"mismatch")
         payloads[sec_id] = payload
     if pos != len(data):
@@ -271,8 +257,7 @@ def check_snapshot(path, min_entries=0):
     refs = []
     entries = n_curves
     for sec_id, parser in ((2, parse_workload), (3, parse_workload),
-                           (4, parse_sbf), (5, parse_derived),
-                           (6, parse_coarse)):
+                           (4, parse_sbf), (5, parse_derived)):
         sec_refs, sec_entries = parser(
             payloads.get(sec_id, b"\0" * 8),
             f"{path}: {SECTION_NAMES[sec_id]}")
