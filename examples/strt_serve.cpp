@@ -21,7 +21,7 @@
 //          {"id": 1, "kind": "structural", "supply": "tdma slot 3 cycle 8",
 //           "task": "task t\nvertex A wcet 2 deadline 10\nedge A A sep 10"}
 //          optional: "tasks" (array of task texts), "max_states",
-//          "progress_every", "prune", "want_witness", "max_paths",
+//          "progress_every", "want_witness", "max_paths",
 //          "delay_cap", "max_wcet_growth", "deadline_ms"
 //   csv    id,kind,supply,task_file[,task_file...]; task files are
 //          resolved relative to --task-dir
@@ -254,7 +254,7 @@ int main(int argc, char** argv) {
   std::int64_t total_queue_us = 0;
   std::int64_t total_run_us = 0;
   for (std::size_t i = 0; i < parses.size(); ++i) {
-    const svc::AnalysisOutcome outcome =
+    svc::AnalysisOutcome outcome =
         futures[i] ? futures[i]->get() : parse_failure_outcome(parses[i]);
     switch (outcome.status) {
       case svc::OutcomeStatus::kOk: ++ok; break;
@@ -267,7 +267,7 @@ int main(int argc, char** argv) {
     total_run_us += outcome.stats.run_us;
     obs::RunReport line("strt_serve.request");
     outcome.append_to_report(line);
-    line.set_trace(outcome.trace);
+    line.set_trace(std::move(outcome.trace));
     line.write_json_line(lines);
     table.add_row({std::to_string(outcome.id),
                    std::string(svc::kind_name(outcome.kind)),

@@ -1,4 +1,5 @@
-// Observability: RAII timing spans building a nested phase profile.
+// Observability: the RAII span -- one type for the phase profile and the
+// request trace.
 //
 // A Span marks a phase of the analysis ("explore", "minplus.conv", ...).
 // Spans nest lexically: a span opened while another is live becomes its
@@ -12,14 +13,17 @@
 // a worker thread's profile does not interleave into the main thread's.
 // Snapshot / reset act on the calling thread's tree.
 //
-// Tracing: while an obs::TraceSpanScope is live on the thread (the
-// service layer opens one per request run), every Span additionally
-// appends a timestamped span to that request's trace, so per-request
-// traces reach the kernel phases through the instrumentation that
-// already exists.
+// Tracing: a Span opened over a TraceContext (the service layer opens
+// "request", "validate" and "run" this way) records into that request's
+// trace whether or not observability is on, and for its lifetime is the
+// thread's active trace position.  Every plain Span opened inside it
+// while observability is on appends a timestamped child span to that
+// trace, so per-request traces reach the kernel phases through the
+// instrumentation that already exists.  One thread-local frame holds
+// both the profile cursor and the trace position.
 //
-// When observability is disabled (see counters.hpp) constructing a Span
-// costs one relaxed atomic load and a branch; no clock is read.
+// When observability is disabled (see counters.hpp) constructing a plain
+// Span costs one relaxed atomic load and a branch; no clock is read.
 #pragma once
 
 #include <chrono>
@@ -30,15 +34,36 @@
 
 namespace strt::obs {
 
+class TraceContext;
+
 namespace detail {
 struct SpanNode;
+
+/// Where the calling thread's next Span nests.
+struct SpanFrame {
+  SpanNode* node = nullptr;             // profile cursor
+  const TraceContext* trace = nullptr;  // active request trace, if any
+  std::uint64_t parent = 0;             // innermost open span of `trace`
+};
 }  // namespace detail
 
 /// RAII phase marker.  `name` must outlive the constructor call only (it
 /// is copied on first use of a given phase path).
 class Span {
  public:
+  /// A phase of the profile; while observability is on it also appends
+  /// a child span at the thread's active trace position, if any.
   explicit Span(std::string_view name);
+
+  /// A span of `ctx`'s trace, recorded even while observability is off.
+  /// It nests under the innermost live span of the same trace on this
+  /// thread (a span over another trace starts its own root chain) and
+  /// is the thread's trace position until it closes.  With
+  /// observability on it is also a profile phase.  Over a disengaged
+  /// context it is a plain Span(name).  `ctx` must outlive the span.
+  Span(const TraceContext& ctx, std::string_view name);
+  Span(TraceContext&&, std::string_view) = delete;
+
   ~Span();
 
   Span(const Span&) = delete;
@@ -46,11 +71,22 @@ class Span {
   Span(Span&&) = delete;
   Span& operator=(Span&&) = delete;
 
+  /// Attaches a key:value attribute to this span's trace record (no-op
+  /// when the span records into no trace).
+  void attr(std::string_view key, std::string_view value);
+  void attr(std::string_view key, std::uint64_t value);
+
+  /// This span's id within its trace (0 when it records into none).
+  [[nodiscard]] std::uint64_t id() const { return id_; }
+
  private:
-  detail::SpanNode* node_ = nullptr;
+  void open(const TraceContext* ctx, std::string_view name, bool profile);
+
+  detail::SpanFrame saved_;              // the frame to restore on close
+  detail::SpanNode* node_ = nullptr;     // profile node, if profiled
+  const TraceContext* trace_ = nullptr;  // trace recorded into, if any
+  std::uint64_t id_ = 0;
   std::chrono::steady_clock::time_point start_;
-  std::uint64_t trace_id_ = 0;      // request-trace mirror (see trace.hpp)
-  std::uint64_t trace_parent_ = 0;
 };
 
 /// One node of a profile snapshot.

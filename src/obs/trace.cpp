@@ -62,19 +62,6 @@ struct TraceContext::Data {
   }
 };
 
-namespace {
-
-/// The calling thread's active trace position; data == nullptr when no
-/// TraceSpanScope is live on this thread.
-struct ActiveTrace {
-  TraceContext::Data* data = nullptr;
-  std::uint64_t current_parent = 0;
-};
-
-thread_local ActiveTrace tls_active;  // NOLINT(misc-use-anonymous-namespace)
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // RequestTrace
 // ---------------------------------------------------------------------------
@@ -116,13 +103,11 @@ std::uint64_t TraceContext::add_complete_span(
     std::uint64_t parent,
     std::vector<std::pair<std::string, std::string>> attrs) {
   if (!data_) return 0;
-  TraceSpanRecord rec;
-  rec.parent = parent;
-  rec.name = std::string(name);
-  rec.start_us = start_us;
-  rec.dur_us = end_us >= start_us ? end_us - start_us : 0;
-  rec.attrs = std::move(attrs);
-  return data_->append(std::move(rec));
+  return data_->append({.parent = parent,
+                        .name = std::string(name),
+                        .start_us = start_us,
+                        .dur_us = end_us >= start_us ? end_us - start_us : 0,
+                        .attrs = std::move(attrs)});
 }
 
 bool TraceContext::has_span(std::string_view name) const {
@@ -134,7 +119,7 @@ bool TraceContext::has_span(std::string_view name) const {
   return false;
 }
 
-RequestTrace TraceContext::snapshot() const {
+RequestTrace TraceContext::snapshot() const& {
   RequestTrace out;
   if (!data_) return out;
   {
@@ -146,87 +131,42 @@ RequestTrace TraceContext::snapshot() const {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// TraceSpanScope + the thread-local mirror hook
-// ---------------------------------------------------------------------------
-
-TraceSpanScope::TraceSpanScope(const TraceContext& ctx, std::string_view name)
-    : ctx_(ctx) {
-  if (!ctx_) return;
-  TraceContext::Data* data = ctx_.data_.get();
-  // Nest under the innermost scope of the *same* trace; a scope over a
-  // different trace starts its own root chain.
-  const std::uint64_t parent =
-      tls_active.data == data ? tls_active.current_parent : 0;
-  TraceSpanRecord rec;
-  rec.parent = parent;
-  rec.name = std::string(name);
-  rec.start_us = trace_now_us();
-  rec.dur_us = -1;  // open; closed by the destructor
-  id_ = data->append(std::move(rec));
-
-  saved_data_ = tls_active.data;
-  saved_parent_ = tls_active.current_parent;
-  tls_active.data = data;
-  tls_active.current_parent = id_;
-}
-
-TraceSpanScope::~TraceSpanScope() {
-  if (id_ == 0) return;
-  TraceContext::Data* data = ctx_.data_.get();
-  const std::int64_t now = trace_now_us();
+RequestTrace TraceContext::snapshot() && {
+  if (data_.use_count() != 1) return snapshot();
+  RequestTrace out;
   {
-    const MutexLock lock(data->mu);
-    if (TraceSpanRecord* rec = data->find_open(id_)) {
-      rec->dur_us = now >= rec->start_us ? now - rec->start_us : 0;
-    }
+    const MutexLock lock(data_->mu);
+    out.trace_id = data_->trace_id;
+    out.spans = std::move(data_->spans);
   }
-  tls_active.data = static_cast<TraceContext::Data*>(saved_data_);
-  tls_active.current_parent = saved_parent_;
+  out.sort_spans();
+  return out;
 }
 
-void TraceSpanScope::attr(std::string_view key, std::string_view value) {
-  if (id_ == 0) return;
-  TraceContext::Data* data = ctx_.data_.get();
-  const MutexLock lock(data->mu);
-  if (TraceSpanRecord* rec = data->find_open(id_)) {
+std::uint64_t TraceContext::open_span(std::string_view name,
+                                      std::uint64_t parent,
+                                      std::int64_t start_us) const {
+  return data_->append({.parent = parent,
+                        .name = std::string(name),
+                        .start_us = start_us,
+                        .dur_us = -1,
+                        .attrs = {}});
+}
+
+void TraceContext::close_span(std::uint64_t id, std::int64_t end_us) const {
+  const MutexLock lock(data_->mu);
+  if (TraceSpanRecord* rec = data_->find_open(id)) {
+    rec->dur_us = end_us >= rec->start_us ? end_us - rec->start_us : 0;
+  }
+}
+
+void TraceContext::span_attr(std::uint64_t id, std::string_view key,
+                             std::string_view value) const {
+  const MutexLock lock(data_->mu);
+  if (TraceSpanRecord* rec = data_->find_open(id)) {
     rec->attrs.emplace_back(std::string(key), std::string(value));
   }
 }
-
-void TraceSpanScope::attr(std::string_view key, std::uint64_t value) {
-  attr(key, std::string_view(std::to_string(value)));
-}
-
-namespace detail {
-
-std::uint64_t active_trace_begin(std::string_view name,
-                                 std::uint64_t* saved_parent) {
-  if (tls_active.data == nullptr) return 0;
-  TraceSpanRecord rec;
-  rec.parent = tls_active.current_parent;
-  rec.name = std::string(name);
-  rec.start_us = trace_now_us();
-  rec.dur_us = -1;
-  const std::uint64_t id = tls_active.data->append(std::move(rec));
-  *saved_parent = tls_active.current_parent;
-  tls_active.current_parent = id;
-  return id;
-}
-
-void active_trace_end(std::uint64_t id, std::uint64_t saved_parent) {
-  if (id == 0 || tls_active.data == nullptr) return;
-  const std::int64_t now = trace_now_us();
-  {
-    const MutexLock lock(tls_active.data->mu);
-    if (TraceSpanRecord* rec = tls_active.data->find_open(id)) {
-      rec->dur_us = now >= rec->start_us ? now - rec->start_us : 0;
-    }
-  }
-  tls_active.current_parent = saved_parent;
-}
-
-}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Chrome Trace Event Format (strt.obs.trace.v1)

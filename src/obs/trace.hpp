@@ -3,12 +3,14 @@
 // A TraceContext owns one request's span tree: a 64-bit trace id plus a
 // flat list of spans (hierarchical span ids, parent links, start time and
 // duration in microseconds on a process-wide steady-clock epoch, and
-// key:value attributes such as fingerprint / kind / cache.hits).  The
-// service layer opens the coarse phases (queue -> validate -> run); while
-// a TraceSpanScope is live on a thread, every obs::Span the analyses
-// already emit (explore, minplus.conv, hull, ...) is additionally
-// recorded as a child span with real timestamps, so a request's trace
-// reaches down to the kernel phases without new instrumentation.
+// key:value attributes such as fingerprint / kind / cache.hits).  Spans
+// are recorded by obs::Span (span.hpp): the service layer opens the
+// coarse phases (queue -> request -> validate, run) as obs::Span(ctx,
+// name); while such a span is live on a thread, every plain obs::Span the
+// analyses already emit (explore, minplus.conv, hull, ...) is also
+// recorded as a child span with real timestamps when observability is
+// on, so a request's trace reaches down to the kernel phases without new
+// instrumentation.
 //
 // Concurrency: a TraceContext is a shared handle; span appends take the
 // context's mutex (requests are served by one thread at a time, so the
@@ -69,10 +71,6 @@ struct RequestTrace {
 /// fresh trace.  Copies share the underlying buffer.
 class TraceContext {
  public:
-  /// Opaque span buffer (defined in trace.cpp; public so the
-  /// implementation's thread-local hook can hold a Data*).
-  struct Data;
-
   TraceContext() = default;
 
   /// A fresh trace with a process-unique trace id.
@@ -91,51 +89,25 @@ class TraceContext {
   [[nodiscard]] bool has_span(std::string_view name) const;
 
   /// Copies the finished spans out (sorted by start time).
-  [[nodiscard]] RequestTrace snapshot() const;
+  [[nodiscard]] RequestTrace snapshot() const&;
+  /// The same, but moves the spans out (leaving the trace empty) when
+  /// this is the last handle to it, so no other handle can observe that.
+  [[nodiscard]] RequestTrace snapshot() &&;
 
  private:
-  friend class TraceSpanScope;
+  friend class Span;
+  struct Data;
+
+  // obs::Span's recording interface: open_span() appends a record that
+  // stays open (dur_us -1) until close_span() sets its duration.
+  std::uint64_t open_span(std::string_view name, std::uint64_t parent,
+                          std::int64_t start_us) const;
+  void close_span(std::uint64_t id, std::int64_t end_us) const;
+  void span_attr(std::uint64_t id, std::string_view key,
+                 std::string_view value) const;
+
   std::shared_ptr<Data> data_;
 };
-
-/// RAII phase span: opens a span on construction, appends the finished
-/// record on destruction.  While the innermost scope on a thread is
-/// live, it is installed as the thread's active trace position, so
-/// nested obs::Span instrumentation (and nested TraceSpanScopes) attach
-/// as children automatically.  A scope over a disengaged context costs a
-/// branch and nothing else.
-class TraceSpanScope {
- public:
-  TraceSpanScope(const TraceContext& ctx, std::string_view name);
-  ~TraceSpanScope();
-
-  TraceSpanScope(const TraceSpanScope&) = delete;
-  TraceSpanScope& operator=(const TraceSpanScope&) = delete;
-
-  /// Attaches a key:value attribute to this span.
-  void attr(std::string_view key, std::string_view value);
-  void attr(std::string_view key, std::uint64_t value);
-
-  /// This span's id within the trace (0 over a disengaged context).
-  [[nodiscard]] std::uint64_t id() const { return id_; }
-
- private:
-  TraceContext ctx_;
-  std::uint64_t id_ = 0;
-  void* saved_data_ = nullptr;     // previous thread-local trace position
-  std::uint64_t saved_parent_ = 0;
-};
-
-namespace detail {
-/// Opens a child span at the calling thread's active trace position (the
-/// innermost live TraceSpanScope).  Returns the new span's id, or 0 when
-/// no trace is active on this thread; `*saved_parent` receives the
-/// previous parent id to pass back to active_trace_end().  obs::Span uses
-/// this pair to mirror profile spans into the request trace.
-std::uint64_t active_trace_begin(std::string_view name,
-                                 std::uint64_t* saved_parent);
-void active_trace_end(std::uint64_t id, std::uint64_t saved_parent);
-}  // namespace detail
 
 /// Serializes traces as schema "strt.obs.trace.v1": a Chrome Trace Event
 /// Format JSON object ({"traceEvents": [...], "otherData": {...}}) with

@@ -131,8 +131,7 @@ struct Snapshot {
   [[nodiscard]] std::uint64_t entry_count() const;
 };
 
-/// FNV-1a 64-bit over a byte string (the per-section checksum; also
-/// implemented in tools/check_snapshot.py -- keep the two in sync).
+/// FNV-1a 64-bit over a byte string (the per-section checksum).
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
 
 /// Serializes `snap` into the v2 wire format.

@@ -126,8 +126,8 @@ std::uint64_t request_fingerprint(const AnalysisRequest& req) {
 namespace {
 
 /// validate -> dispatch -> outcome, recording phase spans into `ctx`
-/// (which the caller keeps live as the thread's active trace, so the
-/// analyses' own obs::Span instrumentation nests under "run").
+/// (the caller's "request" span keeps it the thread's active trace, so
+/// the analyses' own obs::Span instrumentation nests under "run").
 AnalysisOutcome run_request_core(engine::Workspace& ws,
                                  const AnalysisRequest& req,
                                  std::optional<Clock::time_point> deadline_at,
@@ -178,7 +178,7 @@ AnalysisOutcome run_request_core(engine::Workspace& ws,
   // Validate front gate: arity rule, then the memoized per-task lint,
   // then the cross-task and task-versus-supply passes.
   {
-    obs::TraceSpanScope vspan(ctx, "validate");
+    obs::Span vspan(ctx, "validate");
     vspan.attr("tasks", static_cast<std::uint64_t>(req.tasks.size()));
     if (const char* msg = arity_error(req.kind, req.tasks.size())) {
       out.error = std::string(kind_name(req.kind)) + " " + msg;
@@ -210,7 +210,7 @@ AnalysisOutcome run_request_core(engine::Workspace& ws,
     };
   }
 
-  obs::TraceSpanScope rspan(ctx, "run");
+  obs::Span rspan(ctx, "run");
   rspan.attr("kind", kind_name(req.kind));
   try {
     switch (req.kind) {
@@ -240,7 +240,6 @@ AnalysisOutcome run_request_core(engine::Workspace& ws,
         }
         StructuralOptions o;
         o.common() = eff;
-        o.prune = req.prune;
         o.want_witness = req.want_witness;
         out.result = structural_delay(ws, req.tasks[0], req.supply, o);
         break;
@@ -248,7 +247,6 @@ AnalysisOutcome run_request_core(engine::Workspace& ws,
       case AnalysisKind::kFp: {
         StructuralOptions o;
         o.common() = eff;
-        o.prune = req.prune;
         o.want_witness = false;
         out.result = fixed_priority_analysis(ws, req.tasks, req.supply, o);
         break;
@@ -260,7 +258,6 @@ AnalysisOutcome run_request_core(engine::Workspace& ws,
       case AnalysisKind::kJointFp: {
         JointFpOptions o;
         o.common() = eff;
-        o.prune = req.prune;
         o.max_paths = req.max_paths;
         const std::span<const DrtTask> hps(req.tasks.data(),
                                            req.tasks.size() - 1);
@@ -279,7 +276,6 @@ AnalysisOutcome run_request_core(engine::Workspace& ws,
       case AnalysisKind::kAudsley: {
         StructuralOptions o;
         o.common() = eff;
-        o.prune = req.prune;
         o.want_witness = false;
         out.result = audsley_assignment(ws, req.tasks, req.supply, o);
         break;
@@ -319,7 +315,7 @@ AnalysisOutcome run_request_at(
 
   AnalysisOutcome out;
   {
-    obs::TraceSpanScope root(ctx, "request");
+    obs::Span root(ctx, "request");
     root.attr("kind", kind_name(req.kind));
     out = run_request_core(ws, req, deadline_at, ctx);
     root.attr("status", status_name(out.status));
@@ -338,7 +334,8 @@ AnalysisOutcome run_request_at(
     }
   }
   out.stats.queue_us = dispatched_us - admitted_us;
-  out.trace = ctx.snapshot();
+  // A context minted here is the last handle to its trace: move it out.
+  out.trace = std::move(ctx).snapshot();
 
   static obs::Histogram& h_latency =
       obs::histogram("svc.request_latency_us");

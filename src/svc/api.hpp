@@ -121,8 +121,6 @@ struct AnalysisRequest {
   CommonOptions common;
 
   // Kind-specific knobs; kinds that do not read a knob ignore it.
-  /// Dominance pruning (all exploration-backed kinds).
-  bool prune = true;
   /// Reconstruct the witness path (kStructural only).
   bool want_witness = false;
   /// Interference-path cap (kJointFp).

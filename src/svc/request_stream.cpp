@@ -189,7 +189,6 @@ RequestParse parse_request_json(std::string_view line, std::size_t lineno) {
   }
   get_u64(doc, "progress_every", req.common.progress_every, out.diagnostics,
           where);
-  get_bool(doc, "prune", req.prune, out.diagnostics, where);
   get_bool(doc, "want_witness", req.want_witness, out.diagnostics, where);
   if (get_u64(doc, "max_paths", u, out.diagnostics, where) &&
       doc.find("max_paths")) {

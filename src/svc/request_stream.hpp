@@ -13,9 +13,9 @@
 //
 //     Multi-task kinds pass "tasks": [<text>, ...] instead of "task"
 //     (slot conventions per kind: see svc/api.hpp).  Optional knobs:
-//     id, supply, max_states, progress_every, prune, want_witness,
-//     max_paths, delay_cap, max_wcet_growth, deadline_ms.  Unknown keys
-//     are ignored.
+//     id, supply, max_states, progress_every, want_witness, max_paths,
+//     delay_cap, max_wcet_growth, deadline_ms.  Unknown keys are
+//     ignored.
 //
 //   CSV -- `id,kind,supply,task_file[,task_file...]` per line; task
 //     files are read relative to `task_dir` and hold the plain-text task

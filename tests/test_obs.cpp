@@ -441,14 +441,14 @@ TEST_F(ObsTest, TraceRoundTripsThroughChromeJson) {
   const std::int64_t t0 = obs::trace_now_us();
   ctx.add_complete_span("queue", t0 - 50, t0);
   {
-    obs::TraceSpanScope request(ctx, "request");
+    obs::Span request(ctx, "request");
     request.attr("kind", "structural");
     {
-      obs::TraceSpanScope validate(ctx, "validate");
+      obs::Span validate(ctx, "validate");
     }
     {
-      obs::TraceSpanScope run(ctx, "run");
-      // The analyses' own profile spans mirror into the active trace.
+      obs::Span run(ctx, "run");
+      // The analyses' own plain spans record into the active trace.
       const obs::Span explore("explore");
     }
   }
@@ -513,7 +513,7 @@ TEST_F(ObsTest, DisengagedTraceContextIsInert) {
   EXPECT_EQ(ctx.trace_id(), 0u);
   EXPECT_EQ(ctx.add_complete_span("x", 0, 1), 0u);
   {
-    obs::TraceSpanScope scope(ctx, "ignored");
+    obs::Span scope(ctx, "ignored");
     scope.attr("k", "v");
     EXPECT_EQ(scope.id(), 0u);
   }
@@ -523,8 +523,8 @@ TEST_F(ObsTest, DisengagedTraceContextIsInert) {
 TEST_F(ObsTest, ReportEmbedsRequestTrace) {
   obs::TraceContext ctx = obs::TraceContext::make();
   {
-    obs::TraceSpanScope request(ctx, "request");
-    obs::TraceSpanScope validate(ctx, "validate");
+    obs::Span request(ctx, "request");
+    obs::Span validate(ctx, "validate");
   }
 
   obs::RunReport report("traced");
@@ -541,6 +541,110 @@ TEST_F(ObsTest, ReportEmbedsRequestTrace) {
   // Without a trace the member is absent (schema keeps it optional).
   obs::RunReport bare("bare");
   EXPECT_EQ(obs::JsonValue::parse(bare.to_json()).find("trace"), nullptr);
+}
+
+TEST_F(ObsTest, ContextSpanRecordsWhileObservabilityIsOff) {
+  obs::set_enabled(false);
+  obs::TraceContext ctx = obs::TraceContext::make();
+  {
+    obs::Span request(ctx, "request");
+    request.attr("kind", "structural");
+    EXPECT_NE(request.id(), 0u);
+    const obs::Span explore("explore");  // plain: records nothing
+  }
+  obs::set_enabled(true);
+
+  const obs::RequestTrace trace = ctx.snapshot();
+  ASSERT_EQ(trace.spans.size(), 1u);
+  EXPECT_EQ(trace.spans[0].name, "request");
+  EXPECT_EQ(trace.spans[0].parent, 0u);
+  EXPECT_GE(trace.spans[0].dur_us, 0);
+  const std::vector<std::pair<std::string, std::string>> want{
+      {"kind", "structural"}};
+  EXPECT_EQ(trace.spans[0].attrs, want);
+  EXPECT_TRUE(obs::span_tree().empty());
+}
+
+TEST_F(ObsTest, ContextSpanOverAnotherTraceStartsItsOwnRootChain) {
+  obs::TraceContext a = obs::TraceContext::make();
+  obs::TraceContext b = obs::TraceContext::make();
+  {
+    obs::Span request(a, "request");
+    obs::Span validate(a, "validate");
+    {
+      obs::Span other(b, "other");
+      const obs::Span explore("explore");  // lands in b, under "other"
+    }
+    const obs::Span run("run");  // a's position is back at "validate"
+  }
+
+  const obs::RequestTrace ta = a.snapshot();
+  const obs::RequestTrace tb = b.snapshot();
+  ASSERT_EQ(ta.spans.size(), 3u);
+  ASSERT_EQ(tb.spans.size(), 2u);
+  EXPECT_EQ(ta.find("explore"), nullptr);
+  EXPECT_EQ(ta.find("other"), nullptr);
+  ASSERT_NE(tb.find("other"), nullptr);
+  ASSERT_NE(tb.find("explore"), nullptr);
+  EXPECT_EQ(tb.find("other")->parent, 0u);
+  EXPECT_EQ(tb.find("explore")->parent, tb.find("other")->id);
+  ASSERT_NE(ta.find("run"), nullptr);
+  EXPECT_EQ(ta.find("validate")->parent, ta.find("request")->id);
+  EXPECT_EQ(ta.find("run")->parent, ta.find("validate")->id);
+}
+
+TEST_F(ObsTest, ContextSpansAreProfilePhasesWhenObservabilityIsOn) {
+  obs::TraceContext ctx = obs::TraceContext::make();
+  for (int i = 0; i < 2; ++i) {
+    obs::Span request(ctx, "request");
+    {
+      obs::Span validate(ctx, "validate");
+    }
+    obs::Span run(ctx, "run");
+    const obs::Span explore("explore");
+  }
+  const obs::TraceContext disengaged;
+  {
+    const obs::Span plain(disengaged, "plain");  // a plain Span("plain")
+  }
+
+  const std::vector<obs::SpanSample> tree = obs::span_tree();
+  ASSERT_EQ(tree.size(), 2u);
+  EXPECT_EQ(tree[1].name, "plain");
+  EXPECT_EQ(tree[1].count, 1u);
+  EXPECT_EQ(tree[0].name, "request");
+  EXPECT_EQ(tree[0].count, 2u);
+  ASSERT_EQ(tree[0].children.size(), 2u);
+  EXPECT_EQ(tree[0].children[0].name, "validate");
+  EXPECT_EQ(tree[0].children[0].count, 2u);
+  EXPECT_TRUE(tree[0].children[0].children.empty());
+  EXPECT_EQ(tree[0].children[1].name, "run");
+  EXPECT_EQ(tree[0].children[1].count, 2u);
+  ASSERT_EQ(tree[0].children[1].children.size(), 1u);
+  EXPECT_EQ(tree[0].children[1].children[0].name, "explore");
+  EXPECT_EQ(tree[0].children[1].children[0].count, 2u);
+  EXPECT_EQ(ctx.snapshot().spans.size(), 8u);
+}
+
+TEST_F(ObsTest, SnapshotOfTheLastHandleMovesTheSpansOut) {
+  obs::TraceContext ctx = obs::TraceContext::make();
+  {
+    obs::Span request(ctx, "request");
+  }
+  {
+    obs::TraceContext shared = ctx;
+    const obs::RequestTrace copied = std::move(shared).snapshot();
+    ASSERT_EQ(copied.spans.size(), 1u);
+    EXPECT_EQ(ctx.snapshot().spans.size(), 1u);  // ctx still held a handle
+  }
+
+  const std::uint64_t id = ctx.trace_id();
+  const obs::RequestTrace moved = std::move(ctx).snapshot();
+  EXPECT_EQ(moved.trace_id, id);
+  ASSERT_EQ(moved.spans.size(), 1u);
+  EXPECT_EQ(moved.spans[0].name, "request");
+  // Moved, not copied: the handle itself now reads empty.
+  EXPECT_FALSE(ctx.has_span("request"));  // NOLINT(bugprone-use-after-move)
 }
 
 TEST_F(ObsTest, StructuralOptionsForwardProgress) {

@@ -17,7 +17,9 @@
 //   * Wire format pinned across builds: tests/data/snapshot_v1_parent.snap
 //     was saved by an earlier (v1) build from fixture_requests(); this
 //     build must reload and re-save it as tests/data/snapshot_v2.snap,
-//     and recompute that file cold, byte for byte.
+//     and recompute that file cold, byte for byte.  With STRT_SNAPSHOT
+//     set, the file it names (e.g. one strt_serve saved) must decode and
+//     load with at least one record.
 //   * Eviction: a bytes budget is enforced (stats().bytes ends within
 //     budget, cache.evictions counts), evicted entries of every memo
 //     family recompute to the same answers, and groups touched under a
@@ -36,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/config.hpp"
 #include "engine/workspace.hpp"
 #include "graph/drt.hpp"
 #include "model/generator.hpp"
@@ -525,6 +528,19 @@ TEST(SnapshotWireFormat, PinnedFileReloadsAndRecomputesByteIdentical) {
   const ScratchFile recomputed("fixture_recomputed");
   ASSERT_TRUE(cold.save_snapshot(recomputed.path, &error)) << error;
   EXPECT_EQ(slurp_file(recomputed.path), want);
+}
+
+TEST(SnapshotWireFormat, StrtSnapshotFileLoadsWithRecords) {
+  const std::string path = cfg::get_string("STRT_SNAPSHOT", "");
+  if (path.empty()) GTEST_SKIP() << "STRT_SNAPSHOT is unset";
+  const snapshot::LoadResult file = snapshot::read_file(path);
+  ASSERT_EQ(file.status, snapshot::LoadResult::Status::kOk)
+      << path << ": " << file.error;
+  EXPECT_GE(file.snap.entry_count(), 1u);
+  engine::Workspace ws(true);
+  std::string error;
+  EXPECT_TRUE(ws.load_snapshot(path, &error)) << error;
+  EXPECT_GT(ws.stats().bytes, 0u);
 }
 
 TEST(Eviction, BudgetIsEnforcedAndAnswersAreUnchanged) {

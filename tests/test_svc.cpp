@@ -67,8 +67,8 @@ AnalysisRequest request_of_kind(AnalysisKind kind, std::uint64_t id,
 }
 
 /// True when `ancestor_id` is on `span`'s parent chain.  With STRT_OBS=1
-/// the obs::Span phase markers mirror into request traces (e.g. a
-/// "svc.request" span slots in between "request" and "validate"), so
+/// the plain obs::Span phase markers record into request traces too (e.g.
+/// a "svc.request" span slots in between "request" and "validate"), so
 /// structural assertions walk ancestry instead of direct parenthood.
 bool has_ancestor(const obs::RequestTrace& trace,
                   const obs::TraceSpanRecord& span,
@@ -676,7 +676,9 @@ TEST(SvcStream, JsonlRequestRoundTrips) {
   const RequestParse p = parse_request_json(
       R"({"id": 3, "kind": "structural", "supply": "tdma slot 3 cycle 8",)"
       R"( "task": "task t\nvertex A wcet 2 deadline 10\nedge A A sep 10",)"
-      R"( "max_states": 1234, "deadline_ms": 250, "want_witness": true})",
+      R"( "max_states": 1234, "deadline_ms": 250, "want_witness": true,)"
+      // A retired knob is ignored like any unknown key.
+      R"( "prune": false})",
       1);
   ASSERT_TRUE(p.diagnostics.ok()) << p.diagnostics.to_json();
   ASSERT_TRUE(p.request.has_value());
