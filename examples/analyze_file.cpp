@@ -171,6 +171,7 @@ int main(int argc, char** argv) {
   if (check) {
     ParseResult res = parse_task_checked(task_text);
     lint.merge(std::move(res.diagnostics));
+    if (res.task) lint.merge(check::check_task(*res.task));
     parsed = std::move(res.task);
   } else {
     try {

@@ -111,6 +111,7 @@ int main(int argc, char** argv) {
       tally(res.diagnostics);
     } else {
       ParseResult res = parse_task_checked(text);
+      if (res.task) res.diagnostics.merge(check::check_task(*res.task));
       print_prefixed(path, res.diagnostics);
       tally(res.diagnostics);
       if (res.task) tasks.push_back(std::move(*res.task));

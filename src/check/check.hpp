@@ -73,10 +73,10 @@ struct TaskSpec {
 /// drt.transient, drt.acyclic, drt.not-frame-separated.
 [[nodiscard]] CheckResult check_task(const DrtTask& task);
 
-/// Validates `spec` (spec pass, then -- if the spec is error-free -- the
-/// task pass on the built model) appending to `result`.  Returns the
-/// built task unless spec-level errors prevent construction; task-level
-/// findings do not block construction, gate on result.ok() instead.
+/// Runs the spec pass on `spec`, appending its findings to `result`, and
+/// builds the task when the spec is error-free (nullopt otherwise).  It
+/// does not run check_task on the built model: callers that lint call it
+/// themselves (Workspace::validate on the request path).
 [[nodiscard]] std::optional<DrtTask> build_task(const TaskSpec& spec,
                                                 CheckResult& result);
 

@@ -171,9 +171,7 @@ std::optional<DrtTask> build_task(const TaskSpec& spec, CheckResult& result) {
   for (const TaskSpec::Edge& e : spec.edges) {
     b.add_edge(e.from, e.to, Time(e.separation));
   }
-  DrtTask task = std::move(b).build();
-  result.merge(check_task(task));
-  return task;
+  return std::move(b).build();
 }
 
 CheckResult check_task_set(std::span<const DrtTask> tasks) {

@@ -215,6 +215,17 @@ struct SbfKey {
   }
 };
 
+/// check_task findings name the task and its vertices, so the lint is
+/// keyed by a hash of those names too, grouped under the (name-blind)
+/// task fingerprint.
+struct ValidateKey {
+  std::uint64_t task;
+  std::uint64_t names;
+  bool operator==(const ValidateKey&) const = default;
+  std::uint64_t group() const { return task; }
+  std::uint64_t hash() const { return hash_combine(task, names); }
+};
+
 struct DerivedKey {
   std::uint8_t op;
   std::uint64_t a;
@@ -428,7 +439,7 @@ struct Workspace::Impl {
   };
 
   Memo<std::uint64_t, Bucket> interned{*this, kIntern};
-  Memo<std::uint64_t, std::shared_ptr<const check::CheckResult>> validations{
+  Memo<ValidateKey, std::shared_ptr<const check::CheckResult>> validations{
       *this, kValidate};
   Memo<std::uint64_t, TaskEntry> rbfs{*this, kRbf};
   Memo<std::uint64_t, TaskEntry> dbfs{*this, kDbf};
@@ -635,7 +646,14 @@ std::shared_ptr<const check::CheckResult> Workspace::validate(
     const DrtTask& task) {
   // Lint outside the lock; racers produce identical results (the pass is
   // pure) and the first insert wins.
-  return impl_->validations.get([&] { return task.fingerprint(); }, [&] {
+  const auto key = [&] {
+    std::uint64_t names = std::hash<std::string>{}(task.name());
+    for (const DrtVertex& v : task.vertices()) {
+      names = hash_combine(names, std::hash<std::string>{}(v.name));
+    }
+    return ValidateKey{task.fingerprint(), names};
+  };
+  return impl_->validations.get(key, [&] {
     return std::make_shared<const check::CheckResult>(check::check_task(task));
   });
 }

@@ -175,9 +175,12 @@ class Workspace {
   bool load_snapshot(const std::string& path, std::string* error = nullptr);
 
   /// Front gate: strt::check::check_task diagnostics for `task`, memoized
-  /// by task fingerprint (the lint pass is pure, so one result serves
-  /// every later query).  Callers gate on result->ok() before running the
-  /// analyses; checking never changes what rbf/dbf return.
+  /// by task fingerprint plus a hash of the task and vertex names (the
+  /// findings name them, and the fingerprint does not cover names); the
+  /// eviction group is the task fingerprint.  The lint pass is pure, so
+  /// one result serves every later query.  Callers gate on result->ok()
+  /// before running the analyses; checking never changes what rbf/dbf
+  /// return.
   [[nodiscard]] std::shared_ptr<const check::CheckResult> validate(
       const DrtTask& task);
 

@@ -55,6 +55,9 @@ struct Job {
 
   const std::function<void(std::size_t)>* fn = nullptr;
   std::size_t n = 0;
+  /// The caller's trace position: every item runs under it, whichever
+  /// thread claims it.
+  obs::TracePosition trace;
   std::vector<Block> blocks;
 
   std::atomic<std::uint64_t> steals{0};
@@ -133,6 +136,7 @@ struct Job {
     std::size_t idx = 0;
     while (claim(p, idx)) {
       if (!failed.load(std::memory_order_relaxed)) {
+        const obs::TracePositionScope at(trace);
         try {
           (*fn)(idx);
         } catch (...) {
@@ -188,6 +192,7 @@ class Pool {
     const obs::Span span("parallel_for");
     auto job = std::make_shared<Job>(n, participants);
     job->fn = &fn;
+    job->trace = obs::trace_position();
     {
       const MutexLock lock(job_mu_);
       job_ = job;

@@ -1,6 +1,7 @@
 #include "graph/cycle_ratio.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -152,21 +153,63 @@ std::optional<Rational> max_cycle_ratio(const DrtTask& task) {
   std::int64_t hn = 1;
   std::int64_t hd = 0;
 
-  for (;;) {
-    const std::int64_t mn = checked::add(ln, hn);
-    const std::int64_t md = checked::add(ld, hd);
-    switch (probe(mn, md)) {
-      case CycleSign::kPositive:
-        ln = mn;
-        ld = md;
-        break;
-      case CycleSign::kNegative:
-        hn = mn;
-        hd = md;
-        break;
-      case CycleSign::kZero:
-        return Rational(mn, md);
+  // The mediant walk moves one bound toward the other in runs: from
+  // (from, toward), the k-th step of a run probes from + k*toward, and
+  // the run lasts while the probe keeps the sign `keep`.  A run's length
+  // is found by doubling k and then bisecting, so it costs O(log k)
+  // probes instead of k.  Within a run every quantity a probe computes
+  // is monotone or convex in k, and the search probes each run's first
+  // and last steps, so it overflows exactly when the step-by-step walk
+  // would; a probe past the end of the run that overflows is only an
+  // overshoot.
+  const auto step = [&](std::int64_t fn, std::int64_t fd, std::int64_t tn,
+                        std::int64_t td,
+                        std::int64_t k) -> std::optional<CycleSign> {
+    try {
+      return probe(checked::add(fn, checked::mul(k, tn)),
+                   checked::add(fd, checked::mul(k, td)));
+    } catch (const OverflowError&) {
+      return std::nullopt;
     }
+  };
+  for (bool raise_lo = true;; raise_lo = !raise_lo) {
+    std::int64_t& fn = raise_lo ? ln : hn;
+    std::int64_t& fd = raise_lo ? ld : hd;
+    std::int64_t& tn = raise_lo ? hn : ln;
+    std::int64_t& td = raise_lo ? hd : ld;
+    const CycleSign keep =
+        raise_lo ? CycleSign::kPositive : CycleSign::kNegative;
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    // Steps 1..kept keep the sign; step `ended` does not, with `end`
+    // its probe (nullopt: it overflowed).
+    std::int64_t kept = 0;
+    std::int64_t ended = 1;
+    std::optional<CycleSign> end;
+    for (;; ended = ended > kMax / 2 ? kMax : ended * 2) {
+      end = step(fn, fd, tn, td, ended);
+      if (end != keep) break;
+      kept = ended;
+      if (ended == kMax) throw OverflowError("utilization search diverged");
+    }
+    while (ended - kept > 1) {
+      const std::int64_t mid = kept + (ended - kept) / 2;
+      const std::optional<CycleSign> s = step(fn, fd, tn, td, mid);
+      if (s == keep) {
+        kept = mid;
+      } else {
+        ended = mid;
+        end = s;
+      }
+    }
+    // The walk probes step kept + 1 next: it overflows there too.
+    if (!end) throw OverflowError("integer overflow in the utilization search");
+    const std::int64_t mn = fn + ended * tn;  // probed, so in range
+    const std::int64_t md = fd + ended * td;
+    if (*end == CycleSign::kZero) return Rational(mn, md);
+    fn += kept * tn;
+    fd += kept * td;
+    tn = mn;
+    td = md;
   }
 }
 

@@ -31,12 +31,13 @@ namespace detail {
 /// Algorithm: parametric search.  For a candidate ratio q = a/b, the test
 /// graph with edge weights b*wcet(u) - a*separation(u,v) has a positive
 /// cycle iff U > q and a zero-weight (but no positive) cycle iff U == q.
-/// Candidates are driven by Stern-Brocot "simplest rational in the
-/// interval" probes (the mediant of the bounds, which stay adjacent Farey
-/// neighbours), which converges in O(log) probes because U's
-/// continued-fraction expansion has logarithmic length.  Each probe is a
-/// Bellman-Ford longest-path sweep, O(V * E), over buffers allocated once
-/// per search.
+/// Candidates follow the Stern-Brocot walk toward U (the mediant of the
+/// bounds, which stay adjacent Farey neighbours).  The walk moves in runs
+/// of same-direction steps, one per continued-fraction term of U; each
+/// run's length k is found by doubling then bisecting, O(log k) probes,
+/// so a ratio like 1/2^40 costs about 80 probes instead of 2^40.  Each
+/// probe is a Bellman-Ford longest-path sweep, O(V * E), over buffers
+/// allocated once per search.
 [[nodiscard]] std::optional<Rational> max_cycle_ratio(const DrtTask& task);
 
 /// Simplest rational strictly between lo and hi (both exclusive);

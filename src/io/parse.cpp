@@ -1,6 +1,7 @@
 #include "io/parse.hpp"
 
 #include <charconv>
+#include <limits>
 #include <map>
 #include <span>
 #include <sstream>
@@ -8,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "base/assert.hpp"
 #include "check/check.hpp"
 
 namespace strt {
@@ -32,12 +32,6 @@ std::vector<std::string_view> tokenize(std::string_view line) {
   return toks;
 }
 
-[[noreturn]] void fail(std::size_t line_no, const std::string& msg) {
-  std::ostringstream os;
-  os << "parse error at line " << line_no << ": " << msg;
-  throw std::invalid_argument(os.str());
-}
-
 std::optional<std::int64_t> try_parse_int(std::string_view tok) {
   std::int64_t v = 0;
   const auto [p, ec] = std::from_chars(tok.begin(), tok.end(), v);
@@ -45,57 +39,26 @@ std::optional<std::int64_t> try_parse_int(std::string_view tok) {
   return v;
 }
 
-std::int64_t parse_int(std::string_view tok, std::size_t line_no) {
-  const auto v = try_parse_int(tok);
-  if (!v) {
-    fail(line_no, "expected an integer, got '" + std::string(tok) + "'");
-  }
-  return *v;
-}
-
-Rational parse_rational(std::string_view tok, std::size_t line_no) {
-  const std::size_t slash = tok.find('/');
-  if (slash == std::string_view::npos) {
-    return Rational(parse_int(tok, line_no));
-  }
-  return Rational(parse_int(tok.substr(0, slash), line_no),
-                  parse_int(tok.substr(slash + 1), line_no));
-}
-
-/// Expects tokens of the form  key1 v1 key2 v2 ...  starting at `from`.
-std::map<std::string_view, std::string_view> parse_kv(
-    const std::vector<std::string_view>& toks, std::size_t from,
-    std::size_t line_no) {
-  if ((toks.size() - from) % 2 != 0) {
-    fail(line_no, "expected key/value pairs");
-  }
-  std::map<std::string_view, std::string_view> kv;
-  for (std::size_t i = from; i < toks.size(); i += 2) {
-    kv[toks[i]] = toks[i + 1];
-  }
-  return kv;
-}
-
-std::string_view require_key(
-    const std::map<std::string_view, std::string_view>& kv,
-    std::string_view key, std::size_t line_no) {
-  const auto it = kv.find(key);
-  if (it == kv.end()) fail(line_no, "missing '" + std::string(key) + "'");
-  return it->second;
-}
-
-/// Diagnostic-collecting field lookup + integer parse over the key/value
-/// tokens of one directive (`pairs` = key1 v1 key2 v2 ...; a repeated key
-/// keeps its last value): emits parse.missing-field / parse.invalid-value
-/// and returns `fallback` so the caller can keep scanning the rest of the
-/// input.
-std::int64_t read_int_field(std::span<const std::string_view> pairs,
-                            std::string_view key, const std::string& loc,
-                            std::int64_t fallback, check::CheckResult& r) {
+/// The value of `key` among the key/value tokens of one directive
+/// (`pairs` = key1 v1 key2 v2 ...; a repeated key keeps its last value),
+/// or nullptr when absent.
+const std::string_view* find_value(std::span<const std::string_view> pairs,
+                                   std::string_view key) {
   const std::string_view* value = nullptr;
   for (std::size_t i = 0; i + 1 < pairs.size(); i += 2) {
     if (pairs[i] == key) value = &pairs[i + 1];
   }
+  return value;
+}
+
+/// Diagnostic-collecting field lookup + integer parse over the key/value
+/// tokens of one directive: emits parse.missing-field /
+/// parse.invalid-value and returns `fallback` so the caller can keep
+/// scanning the rest of the input.
+std::int64_t read_int_field(std::span<const std::string_view> pairs,
+                            std::string_view key, const std::string& loc,
+                            std::int64_t fallback, check::CheckResult& r) {
+  const std::string_view* value = find_value(pairs, key);
   if (value == nullptr) {
     std::string msg = "missing '";
     msg.append(key);
@@ -116,6 +79,86 @@ std::int64_t read_int_field(std::span<const std::string_view> pairs,
     return fallback;
   }
   return *v;
+}
+
+/// Throws std::invalid_argument for the first diagnostic of a parse that
+/// built no model (the parsers report errors only, so there is one).
+[[noreturn]] void throw_first_error(const check::CheckResult& r) {
+  const check::Diagnostic& d = r.diagnostics().at(0);
+  throw std::invalid_argument("parse error at " + d.location + ": " +
+                              d.message);
+}
+
+/// Reads a supply description up to its model.  Records only the first
+/// syntax error (parse.syntax) -- later reads then yield empty values --
+/// and, for a rational rate, the ranges a Rational cannot be built from
+/// (parse.invalid-value).  The model is meaningful iff r.ok() after.
+Supply::Model read_supply_model(std::string_view text, check::CheckResult& r) {
+  const auto fail = [&r](const char* code, std::string msg) {
+    if (r.ok()) r.add(check::Severity::kError, code, "supply", std::move(msg));
+    return Supply::Model{};
+  };
+  const auto toks = tokenize(text);
+  if (toks.empty()) return fail("parse.syntax", "empty supply description");
+  if (toks.size() % 2 == 0) {
+    return fail("parse.syntax",
+                "parse error at line 1: expected key/value pairs");
+  }
+  const auto pairs = std::span(toks).subspan(1);
+  const auto field = [&](std::string_view key) -> std::string_view {
+    if (const std::string_view* value = find_value(pairs, key)) return *value;
+    fail("parse.syntax",
+         "parse error at line 1: missing '" + std::string(key) + "'");
+    return {};
+  };
+  const auto number = [&](std::string_view tok) -> std::int64_t {
+    if (const auto v = try_parse_int(tok); v || !r.ok()) return v.value_or(0);
+    fail("parse.syntax", "parse error at line 1: expected an integer, got '" +
+                             std::string(tok) + "'");
+    return 0;
+  };
+  const auto integer = [&](std::string_view key) { return number(field(key)); };
+  // Braced initializers read their fields left to right.
+  const std::string_view kind = toks[0];
+  if (kind == "dedicated") return DedicatedSupply{integer("rate")};
+  if (kind == "periodic") {
+    return PeriodicSupply{Time(integer("budget")), Time(integer("period"))};
+  }
+  if (kind == "tdma") {
+    return TdmaSupply{Time(integer("slot")), Time(integer("cycle"))};
+  }
+  if (kind == "bounded_delay") {
+    const std::string_view rate = field("rate");  // "n" or "n/d"
+    const std::size_t slash = rate.find('/');
+    const std::int64_t num = number(rate.substr(0, slash));
+    const std::int64_t den =
+        slash == std::string_view::npos ? 1 : number(rate.substr(slash + 1));
+    const Time delay(integer("delay"));
+    if (!r.ok()) return {};
+    if (den == 0) {
+      return fail("parse.invalid-value",
+                  "rational denominator must be non-zero");
+    }
+    // Rational normalizes signs by negation, which -2^63 does not have.
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    if (num == kMin || den == kMin) {
+      return fail("parse.invalid-value",
+                  "rational numerator and denominator must exceed -2^63");
+    }
+    return BoundedDelaySupply{Rational(num, den), delay};
+  }
+  if (kind == "schedule") {
+    std::vector<bool> active;
+    for (const char c : field("mask")) {
+      if (c != '0' && c != '1') {
+        return fail("parse.syntax", "schedule mask must be 0/1 digits");
+      }
+      active.push_back(c == '1');
+    }
+    return ScheduleSupply{std::move(active)};
+  }
+  return fail("parse.syntax",
+              "unknown supply kind '" + std::string(kind) + "'");
 }
 
 }  // namespace
@@ -215,14 +258,8 @@ ParseResult parse_task_checked(std::string_view text) {
 
 DrtTask parse_task(std::string_view text) {
   ParseResult res = parse_task_checked(text);
-  if (res.task.has_value()) return std::move(*res.task);
-  for (const check::Diagnostic& d : res.diagnostics.diagnostics()) {
-    if (d.severity == check::Severity::kError) {
-      throw std::invalid_argument("parse error at " + d.location + ": " +
-                                  d.message);
-    }
-  }
-  throw std::invalid_argument("parse error: task construction failed");
+  if (!res.task) throw_first_error(res.diagnostics);
+  return *std::move(res.task);
 }
 
 std::string serialize_task(const DrtTask& task) {
@@ -239,40 +276,23 @@ std::string serialize_task(const DrtTask& task) {
   return os.str();
 }
 
+SupplyParseResult parse_supply_checked(std::string_view text) {
+  SupplyParseResult out;
+  Supply::Model model = read_supply_model(text, out.diagnostics);
+  if (!out.diagnostics.ok()) return out;
+  if (const char* why = Supply::invalid_reason(model)) {
+    out.diagnostics.add(check::Severity::kError, "parse.invalid-value",
+                        "supply", why);
+  } else {
+    out.supply = Supply::of(std::move(model));
+  }
+  return out;
+}
+
 Supply parse_supply(std::string_view text) {
-  const auto toks = tokenize(text);
-  if (toks.empty()) throw std::invalid_argument("empty supply description");
-  const auto kv = parse_kv(toks, 1, 1);
-  if (toks[0] == "dedicated") {
-    return Supply::dedicated(parse_int(require_key(kv, "rate", 1), 1));
-  }
-  if (toks[0] == "bounded_delay") {
-    return Supply::bounded_delay(
-        parse_rational(require_key(kv, "rate", 1), 1),
-        Time(parse_int(require_key(kv, "delay", 1), 1)));
-  }
-  if (toks[0] == "periodic") {
-    return Supply::periodic(
-        Time(parse_int(require_key(kv, "budget", 1), 1)),
-        Time(parse_int(require_key(kv, "period", 1), 1)));
-  }
-  if (toks[0] == "tdma") {
-    return Supply::tdma(Time(parse_int(require_key(kv, "slot", 1), 1)),
-                        Time(parse_int(require_key(kv, "cycle", 1), 1)));
-  }
-  if (toks[0] == "schedule") {
-    const std::string_view mask = require_key(kv, "mask", 1);
-    std::vector<bool> active;
-    for (const char c : mask) {
-      if (c != '0' && c != '1') {
-        throw std::invalid_argument("schedule mask must be 0/1 digits");
-      }
-      active.push_back(c == '1');
-    }
-    return Supply::schedule(std::move(active));
-  }
-  throw std::invalid_argument("unknown supply kind '" + std::string(toks[0]) +
-                              "'");
+  SupplyParseResult res = parse_supply_checked(text);
+  if (!res.supply) throw_first_error(res.diagnostics);
+  return *std::move(res.supply);
 }
 
 std::string serialize_supply(const Supply& supply) {
@@ -298,17 +318,6 @@ std::string serialize_supply(const Supply& supply) {
       },
       supply.model());
   return os.str();
-}
-
-SupplyParseResult parse_supply_checked(std::string_view text) {
-  SupplyParseResult out;
-  try {
-    out.supply = parse_supply(text);
-  } catch (const std::invalid_argument& e) {
-    out.diagnostics.add(check::Severity::kError, "parse.syntax", "supply",
-                        e.what());
-  }
-  return out;
 }
 
 }  // namespace strt

@@ -35,16 +35,19 @@ struct ParseResult {
   check::CheckResult diagnostics;
 };
 
-/// Parses a task description, collecting *all* problems as parse.* / drt.*
-/// diagnostics ("line N" locations) instead of stopping at the first.
-/// `task` is set when parse- and spec-level errors are absent; semantic
-/// findings from strt::check::check_task on the built model are then
-/// appended without clearing `task` -- gate on diagnostics.ok() to treat
-/// those as fatal too.
+/// Parses a task description, collecting *all* syntax, value and spec
+/// problems as parse.* / drt.* diagnostics ("line N" locations) instead
+/// of stopping at the first.  `task` is set iff there are none.  The
+/// parser does not lint the built task: call strt::check::check_task on
+/// it for the semantic findings (Workspace::validate does on the request
+/// path).
 [[nodiscard]] ParseResult parse_task_checked(std::string_view text);
 
 /// Parses a one-line supply description into diagnostics instead of an
-/// exception; `supply` is set iff diagnostics.ok().
+/// exception; `supply` is set iff diagnostics.ok().  A malformed
+/// description yields one parse.syntax error; a well-formed one whose
+/// values are out of range (Supply::invalid_reason) yields one
+/// parse.invalid-value error.  Both are located at "supply".
 struct SupplyParseResult {
   std::optional<Supply> supply;
   check::CheckResult diagnostics;
@@ -59,7 +62,8 @@ struct SupplyParseResult {
 /// Inverse of parse_task (round-trips exactly).
 [[nodiscard]] std::string serialize_task(const DrtTask& task);
 
-/// Parses a one-line supply description.
+/// Parses a one-line supply description; throws std::invalid_argument
+/// with the error of parse_supply_checked.
 [[nodiscard]] Supply parse_supply(std::string_view text);
 
 /// Inverse of parse_supply.

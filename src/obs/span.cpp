@@ -106,6 +106,24 @@ void Span::attr(std::string_view key, std::uint64_t value) {
   if (trace_ != nullptr) attr(key, std::string_view(std::to_string(value)));
 }
 
+TracePosition trace_position() {
+  const detail::SpanFrame& frame = detail::tls_tree().frame;
+  return {frame.trace, frame.parent};
+}
+
+TracePositionScope::TracePositionScope(TracePosition pos)
+    : saved_(trace_position()) {
+  detail::SpanFrame& frame = detail::tls_tree().frame;
+  frame.trace = pos.trace;
+  frame.parent = pos.parent;
+}
+
+TracePositionScope::~TracePositionScope() {
+  detail::SpanFrame& frame = detail::tls_tree().frame;
+  frame.trace = saved_.trace;
+  frame.parent = saved_.parent;
+}
+
 std::vector<SpanSample> span_tree() {
   std::vector<SpanSample> out;
   detail::sample_into(detail::tls_tree().root, out);

@@ -89,6 +89,33 @@ class Span {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// Where the calling thread's next Span records in a request trace: the
+/// trace (nullptr: none) and the id of the span it nests under.
+struct TracePosition {
+  const TraceContext* trace = nullptr;
+  std::uint64_t parent = 0;
+};
+
+/// The calling thread's trace position.
+[[nodiscard]] TracePosition trace_position();
+
+/// Makes `pos` the calling thread's trace position for the scope's
+/// lifetime and restores the previous one on close; the profile cursor
+/// stays the thread's own.  A pool worker runs another thread's work
+/// item under it, so the item's spans land in that thread's trace.  The
+/// trace must outlive the scope.
+class TracePositionScope {
+ public:
+  explicit TracePositionScope(TracePosition pos);
+  ~TracePositionScope();
+
+  TracePositionScope(const TracePositionScope&) = delete;
+  TracePositionScope& operator=(const TracePositionScope&) = delete;
+
+ private:
+  TracePosition saved_;
+};
+
 /// One node of a profile snapshot.
 struct SpanSample {
   std::string name;

@@ -1,5 +1,6 @@
 #include "resource/supply.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "base/assert.hpp"
@@ -7,35 +8,59 @@
 
 namespace strt {
 
+const char* Supply::invalid_reason(const Model& model) {
+  return std::visit(
+      [](const auto& m) -> const char* {
+        using T = std::decay_t<decltype(m)>;
+        if constexpr (std::is_same_v<T, DedicatedSupply>) {
+          if (m.rate < 1) return "dedicated rate must be >= 1";
+        } else if constexpr (std::is_same_v<T, BoundedDelaySupply>) {
+          if (m.rate <= Rational(0)) {
+            return "bounded-delay rate must be positive";
+          }
+          if (m.delay < Time(0)) return "bounded-delay latency must be >= 0";
+        } else if constexpr (std::is_same_v<T, PeriodicSupply>) {
+          if (m.budget < Time(1)) return "budget must be >= 1";
+          if (m.budget > m.period) return "budget must fit in the period";
+        } else if constexpr (std::is_same_v<T, TdmaSupply>) {
+          if (m.slot < Time(1)) return "slot must be >= 1";
+          if (m.slot > m.cycle) return "slot must fit in the cycle";
+        } else {
+          if (m.active.empty()) return "schedule must have at least one tick";
+          if (std::find(m.active.begin(), m.active.end(), true) ==
+              m.active.end()) {
+            return "schedule must have an active tick";
+          }
+        }
+        return nullptr;
+      },
+      model);
+}
+
+Supply Supply::of(Model model) {
+  const char* why = invalid_reason(model);
+  STRT_REQUIRE(why == nullptr, why);
+  return Supply(std::move(model));
+}
+
 Supply Supply::dedicated(std::int64_t rate) {
-  STRT_REQUIRE(rate >= 1, "dedicated rate must be >= 1");
-  return Supply(DedicatedSupply{rate});
+  return of(DedicatedSupply{rate});
 }
 
 Supply Supply::bounded_delay(Rational rate, Time delay) {
-  STRT_REQUIRE(rate > Rational(0), "bounded-delay rate must be positive");
-  STRT_REQUIRE(delay >= Time(0), "bounded-delay latency must be >= 0");
-  return Supply(BoundedDelaySupply{rate, delay});
+  return of(BoundedDelaySupply{rate, delay});
 }
 
 Supply Supply::periodic(Time budget, Time period) {
-  STRT_REQUIRE(budget >= Time(1), "budget must be >= 1");
-  STRT_REQUIRE(budget <= period, "budget must fit in the period");
-  return Supply(PeriodicSupply{budget, period});
+  return of(PeriodicSupply{budget, period});
 }
 
 Supply Supply::tdma(Time slot, Time cycle) {
-  STRT_REQUIRE(slot >= Time(1), "slot must be >= 1");
-  STRT_REQUIRE(slot <= cycle, "slot must fit in the cycle");
-  return Supply(TdmaSupply{slot, cycle});
+  return of(TdmaSupply{slot, cycle});
 }
 
 Supply Supply::schedule(std::vector<bool> active) {
-  STRT_REQUIRE(!active.empty(), "schedule must have at least one tick");
-  bool any = false;
-  for (const bool a : active) any = any || a;
-  STRT_REQUIRE(any, "schedule must have an active tick");
-  return Supply(ScheduleSupply{std::move(active)});
+  return of(ScheduleSupply{std::move(active)});
 }
 
 Staircase Supply::sbf(Time horizon) const {

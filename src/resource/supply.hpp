@@ -55,6 +55,15 @@ class Supply {
   using Model = std::variant<DedicatedSupply, BoundedDelaySupply,
                              PeriodicSupply, TdmaSupply, ScheduleSupply>;
 
+  /// Why `model` is out of range (the reason its factory rejects it),
+  /// or nullptr when it is valid.  Front ends check this first, so that
+  /// bad input becomes a diagnostic instead of an exception.
+  [[nodiscard]] static const char* invalid_reason(const Model& model);
+
+  /// A supply of any valid model; throws std::invalid_argument with
+  /// invalid_reason() otherwise.  The factories below delegate to it.
+  [[nodiscard]] static Supply of(Model model);
+
   static Supply dedicated(std::int64_t rate);
   static Supply bounded_delay(Rational rate, Time delay);
   static Supply periodic(Time budget, Time period);

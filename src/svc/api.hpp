@@ -17,7 +17,10 @@
 //   * validate: every task passes the strt::check lint through the
 //     memoized Workspace::validate front gate, plus the cross-task and
 //     task-versus-supply passes.  Lint errors yield kInvalid without
-//     running the analysis.
+//     running the analysis.  This is the only lint on the request path:
+//     the request-stream parsers check syntax, values and the task spec
+//     only.  The memo is keyed by task fingerprint and names, so the
+//     diagnostics never depend on what the workspace served before.
 //   * dispatch: the kind's Workspace-overload analysis runs with options
 //     assembled from the request's CommonOptions block.  A wall-clock
 //     deadline and/or CancelToken is wired into the explorer's

@@ -31,44 +31,33 @@ void merge_relocated(check::CheckResult& into, const check::CheckResult& found,
   }
 }
 
-/// Parses one task text into `out.tasks`; on parse failure the inner
-/// diagnostics are folded into `out_diags` (fatally).  Semantic findings
-/// on a *built* task are dropped: run_request()'s validate front gate
-/// re-derives them, and duplicating them here would double-report.
-bool add_task_text(AnalysisRequest& req, check::CheckResult& diags,
+/// Parses one task text into `req.tasks`, or folds its diagnostics into
+/// `diags` under `where` (the parser reports nothing on success: lint
+/// runs later, in run_request()'s validate front gate).
+void add_task_text(AnalysisRequest& req, check::CheckResult& diags,
                    std::string_view text, const std::string& where) {
   ParseResult parsed = parse_task_checked(text);
-  if (!parsed.task) {
-    merge_relocated(diags, parsed.diagnostics, where);
-    return false;
-  }
-  req.tasks.push_back(*std::move(parsed.task));
-  return true;
+  merge_relocated(diags, parsed.diagnostics, where);
+  if (parsed.task) req.tasks.push_back(*std::move(parsed.task));
 }
 
-bool apply_supply_text(AnalysisRequest& req, check::CheckResult& diags,
+void apply_supply_text(AnalysisRequest& req, check::CheckResult& diags,
                        std::string_view text, const std::string& where) {
   SupplyParseResult parsed = parse_supply_checked(text);
-  if (!parsed.supply) {
-    merge_relocated(diags, parsed.diagnostics, where);
-    return false;
-  }
-  req.supply = *std::move(parsed.supply);
-  return true;
+  merge_relocated(diags, parsed.diagnostics, where);
+  if (parsed.supply) req.supply = *std::move(parsed.supply);
 }
 
-bool apply_kind_name(AnalysisRequest& req, check::CheckResult& diags,
+void apply_kind_name(AnalysisRequest& req, check::CheckResult& diags,
                      std::string_view name, const std::string& where) {
-  const std::optional<AnalysisKind> kind = kind_from_name(name);
-  if (!kind) {
+  if (const std::optional<AnalysisKind> kind = kind_from_name(name)) {
+    req.kind = *kind;
+  } else {
     diags.add(check::Severity::kError, "req.unknown-kind", where,
               "unknown analysis kind '" + std::string(name) +
                   "' (expected structural, fp, edf, joint_fp, sensitivity, "
                   "or audsley)");
-    return false;
   }
-  req.kind = *kind;
-  return true;
 }
 
 void require_tasks(const AnalysisRequest& req, check::CheckResult& diags,
@@ -85,20 +74,20 @@ void bad_field(check::CheckResult& diags, const std::string& where,
             where + " field '" + std::string(field) + "'", std::string(why));
 }
 
-/// Reads an optional non-negative integer member into `out`; absent
-/// members leave `out` untouched.
-bool get_u64(const obs::JsonValue& obj, std::string_view key,
-             std::uint64_t& out, check::CheckResult& diags,
-             const std::string& where) {
+/// Reads an optional non-negative integer member: nullopt when absent,
+/// or (reported) when it is not one.
+std::optional<std::uint64_t> get_u64(const obs::JsonValue& obj,
+                                     std::string_view key,
+                                     check::CheckResult& diags,
+                                     const std::string& where) {
   const obs::JsonValue* v = obj.find(key);
-  if (!v) return true;
+  if (!v) return std::nullopt;
   if (v->kind != obs::JsonValue::Kind::Number || !v->is_integer ||
       v->integer < 0) {
     bad_field(diags, where, key, "expected a non-negative integer");
-    return false;
+    return std::nullopt;
   }
-  out = static_cast<std::uint64_t>(v->integer);
-  return true;
+  return static_cast<std::uint64_t>(v->integer);
 }
 
 bool get_bool(const obs::JsonValue& obj, std::string_view key, bool& out,
@@ -145,7 +134,7 @@ RequestParse parse_request_json(std::string_view line, std::size_t lineno) {
     bad_field(out.diagnostics, where, "kind", "required field is absent");
   }
 
-  get_u64(doc, "id", req.id, out.diagnostics, where);
+  if (const auto id = get_u64(doc, "id", out.diagnostics, where)) req.id = *id;
 
   if (const obs::JsonValue* task = doc.find("task")) {
     if (task->kind != obs::JsonValue::Kind::String) {
@@ -182,29 +171,21 @@ RequestParse parse_request_json(std::string_view line, std::size_t lineno) {
     }
   }
 
-  std::uint64_t u = 0;
-  if (get_u64(doc, "max_states", u, out.diagnostics, where) &&
-      doc.find("max_states")) {
-    req.common.max_states = static_cast<std::size_t>(u);
-  }
-  get_u64(doc, "progress_every", req.common.progress_every, out.diagnostics,
-          where);
+  const auto u64 = [&](std::string_view key) {
+    return get_u64(doc, key, out.diagnostics, where);
+  };
+  if (const auto u = u64("max_states")) req.common.max_states = *u;
+  if (const auto u = u64("progress_every")) req.common.progress_every = *u;
   get_bool(doc, "want_witness", req.want_witness, out.diagnostics, where);
-  if (get_u64(doc, "max_paths", u, out.diagnostics, where) &&
-      doc.find("max_paths")) {
-    req.max_paths = static_cast<std::size_t>(u);
+  if (const auto u = u64("max_paths")) req.max_paths = *u;
+  if (const auto u = u64("delay_cap")) {
+    req.delay_cap = Time{static_cast<std::int64_t>(*u)};
   }
-  if (get_u64(doc, "delay_cap", u, out.diagnostics, where) &&
-      doc.find("delay_cap")) {
-    req.delay_cap = Time{static_cast<std::int64_t>(u)};
+  if (const auto u = u64("max_wcet_growth")) {
+    req.max_wcet_growth = Work{static_cast<std::int64_t>(*u)};
   }
-  if (get_u64(doc, "max_wcet_growth", u, out.diagnostics, where) &&
-      doc.find("max_wcet_growth")) {
-    req.max_wcet_growth = Work{static_cast<std::int64_t>(u)};
-  }
-  if (get_u64(doc, "deadline_ms", u, out.diagnostics, where) &&
-      doc.find("deadline_ms")) {
-    req.deadline = std::chrono::milliseconds(u);
+  if (const auto u = u64("deadline_ms")) {
+    req.deadline = std::chrono::milliseconds(*u);
   }
 
   if (out.diagnostics.ok()) out.request = std::move(req);

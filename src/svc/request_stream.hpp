@@ -21,10 +21,13 @@
 //     files are read relative to `task_dir` and hold the plain-text task
 //     format of io/parse.hpp.  Fields follow csv_escape() quoting.
 //
-// Parsing collects req.* / parse.* diagnostics instead of throwing;
-// `request` is set iff the line round-tripped without errors.  Semantic
-// lint findings on well-formed tasks are *not* duplicated here -- the
-// run_request() validate front gate re-derives them on the built model.
+// Parsing collects req.* / parse.* / drt.* spec diagnostics instead of
+// throwing; `request` is set iff the line round-tripped without errors.
+// Supplies go through parse_supply_checked, which range-checks each
+// model before building it, so a bad supply is a diagnostic, never an
+// exception.  Tasks are not linted here: the run_request() validate
+// front gate runs check_task once per task, memoized by fingerprint and
+// names.
 #pragma once
 
 #include <iosfwd>

@@ -350,6 +350,7 @@ TEST(CheckClean, DemoTaskFileRoundTrip) {
       "edge B A sep 15\n");
   ASSERT_TRUE(res.task.has_value());
   EXPECT_TRUE(res.diagnostics.clean());
+  EXPECT_TRUE(check::check_task(*res.task).clean());
 }
 
 TEST(CheckPurity, ValidationNeverChangesAnalysisResults) {

@@ -390,5 +390,45 @@ TEST(Utilization, LargeButRepresentableMagnitudesStayExact) {
                                    Rational(w + 1, 999983 + 1000003)));
 }
 
+DrtTask self_loop_task(std::int64_t wcet, std::int64_t sep) {
+  DrtBuilder b("long");
+  const VertexId a = b.add_vertex("A", Work(wcet), Time(wcet));
+  b.add_edge(a, a, Time(sep));
+  return std::move(b).build();
+}
+
+TEST(Utilization, LongMediantRunsAreExact) {
+  // Each U below ends a Stern-Brocot run of 2^20 to 2^40 same-direction
+  // steps; the search must return it exactly without walking the run.
+  constexpr std::int64_t k20 = std::int64_t{1} << 20;
+  constexpr std::int64_t k40 = std::int64_t{1} << 40;
+  struct Case {
+    std::int64_t wcet;
+    std::int64_t sep;
+    Rational u;
+  };
+  const Case cases[] = {
+      {1, k40, Rational(1, k40)},
+      {k40, 1, Rational(k40)},
+      {k20 + 1, k20, Rational(1) + Rational(1, k20)},
+  };
+  for (const Case& c : cases) {
+    const DrtTask task = self_loop_task(c.wcet, c.sep);
+    EXPECT_FALSE(task.utilization_overflowed()) << c.u;
+    EXPECT_EQ(utilization(task), std::optional<Rational>(c.u));
+    EXPECT_EQ(*utilization(task), brute_max_cycle_ratio(task));
+  }
+}
+
+TEST(Utilization, OverflowInsideALongRunIsStillRecorded) {
+  // U = 1 + 2^-40: the walk's run toward U reaches probes whose
+  // denominator times the wcet leaves int64 (from about 2^23 steps on),
+  // so the search overflows, as the step-by-step walk does.
+  constexpr std::int64_t k40 = std::int64_t{1} << 40;
+  const DrtTask task = self_loop_task(k40 + 1, k40);
+  EXPECT_TRUE(task.utilization_overflowed());
+  EXPECT_THROW((void)utilization(task), OverflowError);
+}
+
 }  // namespace
 }  // namespace strt

@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "exec/exec.hpp"
+#include "obs/counters.hpp"
+#include "obs/span.hpp"
+#include "obs/trace.hpp"
 
 namespace strt {
 namespace {
@@ -115,6 +119,42 @@ TEST_F(ExecTest, ManySmallRunsBackToBack) {
     sum += std::accumulate(part.begin(), part.end(), std::uint64_t{0});
   }
   EXPECT_EQ(sum, 200u * 21u);
+}
+
+TEST_F(ExecTest, ItemsRecordIntoTheCallersTrace) {
+  // Whichever thread runs an item, its spans nest under the span that
+  // was open around parallel_for on the calling thread.
+  exec::set_thread_count(4);
+  obs::set_enabled(true);
+  const obs::TraceContext ctx = obs::TraceContext::make();
+  std::uint64_t root_id = 0;
+  {
+    const obs::Span root(ctx, "root");
+    root_id = root.id();
+    exec::parallel_for(8, [](std::size_t) {
+      const obs::Span item("item");
+      // Long enough that the workers take items off the caller.
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    });
+  }
+  obs::set_enabled(false);
+  obs::Registry::global().reset();
+  obs::reset_spans();
+
+  const obs::RequestTrace trace = ctx.snapshot();
+  std::uint64_t parallel_id = 0;
+  for (const obs::TraceSpanRecord& s : trace.spans) {
+    if (s.name == "parallel_for") parallel_id = s.id;
+  }
+  ASSERT_NE(parallel_id, 0u);
+  EXPECT_EQ(trace.find("parallel_for")->parent, root_id);
+  std::size_t items = 0;
+  for (const obs::TraceSpanRecord& s : trace.spans) {
+    if (s.name != "item") continue;
+    ++items;
+    EXPECT_EQ(s.parent, parallel_id);
+  }
+  EXPECT_EQ(items, 8u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 
+#include "check/check.hpp"
 #include "io/curve_csv.hpp"
 #include "io/parse.hpp"
 
@@ -89,8 +90,8 @@ TEST(ParseErrors, SpecLevelDefectsSurfaceAsDiagnostics) {
 }
 
 TEST(ParseErrors, SemanticWarningsStillYieldATask) {
-  // Dead-end vertex: analyzable, so the task must be returned alongside
-  // the warnings (callers gate on ok(), not clean()).
+  // Dead-end vertex: analyzable, so the task is returned.  The parser
+  // does not lint; check_task on the built task finds the warning.
   const ParseResult res = parse_task_checked(
       "task t\n"
       "vertex A wcet 1 deadline 2\n"
@@ -98,8 +99,10 @@ TEST(ParseErrors, SemanticWarningsStillYieldATask) {
       "edge A A sep 4\n"
       "edge A B sep 2\n");
   ASSERT_TRUE(res.task.has_value());
-  EXPECT_TRUE(res.diagnostics.ok());
-  EXPECT_TRUE(res.diagnostics.has("drt.dead-end"));
+  EXPECT_TRUE(res.diagnostics.clean());
+  const check::CheckResult lint = check::check_task(*res.task);
+  EXPECT_TRUE(lint.ok());
+  EXPECT_TRUE(lint.has("drt.dead-end"));
 }
 
 TEST(ParseErrors, ThrowingWrapperStillReportsFirstErrorLine) {
@@ -119,6 +122,76 @@ TEST(ParseErrors, SupplyCheckedCollectsInsteadOfThrowing) {
   const SupplyParseResult good = parse_supply_checked("dedicated rate 2");
   ASSERT_TRUE(good.supply.has_value());
   EXPECT_TRUE(good.diagnostics.clean());
+}
+
+struct SupplyCase {
+  const char* text;
+  const char* code;
+  const char* message;
+};
+
+void expect_one_supply_error(const SupplyCase& c) {
+  const SupplyParseResult res = parse_supply_checked(c.text);
+  EXPECT_FALSE(res.supply.has_value()) << c.text;
+  ASSERT_EQ(res.diagnostics.diagnostics().size(), 1u) << c.text;
+  const check::Diagnostic& d = res.diagnostics.diagnostics().front();
+  EXPECT_EQ(d.severity, check::Severity::kError) << c.text;
+  EXPECT_EQ(d.code, c.code) << c.text;
+  EXPECT_EQ(d.location, "supply") << c.text;
+  EXPECT_EQ(d.message, c.message) << c.text;
+}
+
+TEST(ParseErrors, SupplySyntaxErrorsKeepCodeLocationAndText) {
+  // One input per syntax-error class of the supply grammar.
+  const SupplyCase cases[] = {
+      {"", "parse.syntax", "empty supply description"},
+      {"magic rate 3", "parse.syntax", "unknown supply kind 'magic'"},
+      {"tdma slot 5 cycle", "parse.syntax",
+       "parse error at line 1: expected key/value pairs"},
+      {"tdma slot 5 period 20", "parse.syntax",
+       "parse error at line 1: missing 'cycle'"},
+      {"dedicated rate fast", "parse.syntax",
+       "parse error at line 1: expected an integer, got 'fast'"},
+      {"bounded_delay rate 3/x delay 10", "parse.syntax",
+       "parse error at line 1: expected an integer, got 'x'"},
+      {"schedule mask 01x1", "parse.syntax",
+       "schedule mask must be 0/1 digits"},
+  };
+  for (const SupplyCase& c : cases) expect_one_supply_error(c);
+}
+
+TEST(ParseErrors, SupplyRangeErrorsAreStableInvalidValues) {
+  // Out-of-range values are reported with the model's own reason, never
+  // with a source path or line of the library.
+  const SupplyCase cases[] = {
+      {"dedicated rate 0", "parse.invalid-value",
+       "dedicated rate must be >= 1"},
+      {"bounded_delay rate 1/0 delay 3", "parse.invalid-value",
+       "rational denominator must be non-zero"},
+      {"bounded_delay rate -1/2 delay 3", "parse.invalid-value",
+       "bounded-delay rate must be positive"},
+      {"bounded_delay rate 1/2 delay -1", "parse.invalid-value",
+       "bounded-delay latency must be >= 0"},
+      {"bounded_delay rate 1/-9223372036854775808 delay 0",
+       "parse.invalid-value",
+       "rational numerator and denominator must exceed -2^63"},
+      {"periodic budget 0 period 5", "parse.invalid-value",
+       "budget must be >= 1"},
+      {"periodic budget 6 period 5", "parse.invalid-value",
+       "budget must fit in the period"},
+      {"tdma slot 0 cycle 35", "parse.invalid-value", "slot must be >= 1"},
+      {"tdma slot 40 cycle 35", "parse.invalid-value",
+       "slot must fit in the cycle"},
+      {"schedule mask 0000", "parse.invalid-value",
+       "schedule must have an active tick"},
+  };
+  for (const SupplyCase& c : cases) {
+    expect_one_supply_error(c);
+    const std::string msg =
+        parse_supply_checked(c.text).diagnostics.diagnostics().front().message;
+    EXPECT_EQ(msg.find('/'), std::string::npos) << msg;
+    EXPECT_EQ(msg.find(".cpp"), std::string::npos) << msg;
+  }
 }
 
 TEST(CurveCsvErrors, WrongColumnCount) {

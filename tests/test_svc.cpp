@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -25,10 +26,12 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "engine/workspace.hpp"
+#include "exec/exec.hpp"
 #include "graph/drt.hpp"
 #include "model/generator.hpp"
 #include "obs/counters.hpp"
@@ -175,6 +178,66 @@ TEST(SvcApi, LintErrorsYieldInvalidWithDiagnostics) {
   const AnalysisOutcome out = run_request(req);
   EXPECT_EQ(out.status, OutcomeStatus::kInvalid);
   EXPECT_TRUE(out.diagnostics.has("drt.wcet-exceeds-deadline"));
+}
+
+TEST(SvcApi, ValidateDiagnosticsNameTheRequestedTaskOnAWarmWorkspace) {
+  // alpha and beta have the same structure (so the same fingerprint) but
+  // different names; the lint findings carry the names, so a warm
+  // workspace must report beta's, exactly as a cold one does.
+  const auto request = [](const std::string& task, const std::string& a,
+                          const std::string& b) {
+    DrtBuilder builder(task);
+    const VertexId va = builder.add_vertex(a, Work(1), Time(5));
+    const VertexId vb = builder.add_vertex(b, Work(1), Time(5));
+    builder.add_edge(va, va, Time(10)).add_edge(va, vb, Time(10));
+    AnalysisRequest req;
+    req.kind = AnalysisKind::kStructural;
+    req.supply = Supply::dedicated(1);
+    req.tasks = {std::move(builder).build()};
+    return req;
+  };
+  const AnalysisRequest alpha = request("alpha", "A", "B");
+  const AnalysisRequest beta = request("beta", "X", "Y");
+  ASSERT_EQ(alpha.tasks[0].fingerprint(), beta.tasks[0].fingerprint());
+
+  engine::Workspace warm;
+  for (const AnalysisRequest* req : {&alpha, &beta, &alpha}) {
+    const AnalysisOutcome served = run_request(warm, *req);
+    const AnalysisOutcome cold = run_request(*req);
+    EXPECT_FALSE(cold.diagnostics.clean());
+    EXPECT_EQ(served.diagnostics.to_json(), cold.diagnostics.to_json());
+  }
+}
+
+TEST(SvcApi, PooledItemsRecordIntoTheRequestTrace) {
+  // Spans opened by parallel_for items nest in the caller's request
+  // trace whichever thread runs the item, so a 4-thread trace holds the
+  // same per-task spans as a 1-thread one.
+  AnalysisRequest req;
+  req.kind = AnalysisKind::kFp;
+  req.supply = Supply::dedicated(1);
+  req.tasks = random_set(2024, 8, 0.5);
+  const auto structural_spans = [&] {
+    const AnalysisOutcome out = run_request(req);
+    EXPECT_EQ(out.status, OutcomeStatus::kOk) << out.error;
+    std::vector<std::vector<std::pair<std::string, std::string>>> attrs;
+    for (const obs::TraceSpanRecord& s : out.trace.spans) {
+      if (s.name == "structural") attrs.push_back(s.attrs);
+    }
+    std::sort(attrs.begin(), attrs.end());
+    return attrs;
+  };
+  obs::set_enabled(true);
+  exec::set_thread_count(1);
+  const auto serial = structural_spans();
+  EXPECT_FALSE(serial.empty());
+  exec::set_thread_count(4);
+  for (int rep = 0; rep < 20; ++rep) {
+    EXPECT_EQ(structural_spans(), serial) << "repetition " << rep;
+  }
+  obs::set_enabled(false);
+  obs::Registry::global().reset();
+  exec::set_thread_count(0);
 }
 
 TEST(SvcService, OutcomesBitIdenticalToOneShotAcrossKinds) {
